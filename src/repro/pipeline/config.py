@@ -48,12 +48,13 @@ _DATA_PLANES = ("pickle", "shm")
 class ShardPlan:
     """How per-slice stage work is sharded over the shard worker pool.
 
-    The per-slice stages (acquire imaging, TV denoise, slice QC) are
-    embarrassingly parallel across slices; a :class:`ShardPlan` with
-    ``slices=True`` lets the campaign runtime batch their slices and fan
-    the batches out to worker *processes* — the second scheduling level
-    under the chip-level pool, which is what lets a single-chip campaign
-    saturate a multi-core machine.
+    The per-slice stages (acquire imaging, TV denoise, slice QC, and the
+    per-slice MI searches of alignment) are embarrassingly parallel
+    across slices; a :class:`ShardPlan` with ``slices=True`` lets the
+    campaign runtime batch their slices and fan the batches out to
+    worker *processes* — the second scheduling level under the
+    chip-level pool, which is what lets a single-chip campaign saturate
+    a multi-core machine.
 
     Everything here is **execution-only**: per-slice work is pure per
     slice and the shard merge is index-ordered, so results are
@@ -62,7 +63,8 @@ class ShardPlan:
     :meth:`PipelineConfig.cache_token`.
     """
 
-    #: enable slice-level sharding of the per-slice stages
+    #: enable slice-level sharding of the per-slice stages (acquire,
+    #: denoise, QC, align)
     slices: bool = False
     #: slices per shard batch; ``None`` → auto (~2 batches per worker)
     batch: int | None = None
@@ -364,6 +366,7 @@ class AlignStage:
             data,
             true_drift_px=self.true_drift_px,
             workers=self.config.chunk_workers,
+            shard=self.config.shard,
             **self.config.align_kwargs(),
         )
         self.report = report

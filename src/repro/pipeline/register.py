@@ -18,21 +18,37 @@ multi-baseline stack registers every slice against three predecessors.
 The naive implementation re-bins the same float images through
 ``np.histogram2d`` for every candidate — quantising each pixel 243 times
 per pair.  The fast path here quantises every slice to bin indices
-*once* (:func:`_bin_indices`, bit-compatible with ``histogram2d``'s
-binning) and builds each candidate's joint histogram with a single
-``np.bincount`` over fused ``a_bin * bins + b_bin`` indices.  The MI
-argmax is identical to the brute-force search, which is retained as
-:func:`_reference_align_pair` for the perf harness and equality tests.
+*once* (:func:`_quantise`, bit-compatible with ``histogram2d``'s binning;
+out-of-range pixels go to a sentinel bin ``bins``) and scores each
+candidate with one uint16 add and one ``np.bincount``: the reference
+side carries ``idx*(bins+1) + lane*(bins+1)²`` and the moving side
+``idx``, so their sum is a joint-histogram cell.  The lane (column
+mod 4) splits the histogram into four interleaved copies: denoised
+slices are piecewise constant, so neighbouring pixels hit the same
+counter and a single histogram serialises on it.  Summing the lanes and
+dropping the sentinel row and column gives ``histogram2d``'s counts
+exactly, so the MI argmax is identical to the brute-force search,
+retained as :func:`_reference_align_pair` for the equality tests.
+
+Every pairwise search reads only raw slices, so :func:`align_stack`
+can also fan its per-slice searches out to the slice-shard pool
+(:func:`repro.runtime.shard.shard_map`): slices ship as uint8 bin
+indices and only the cheap fusion pass runs in the parent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import AlignmentBudgetExceeded, AlignmentError, PipelineError
 from repro.obs import kernel_scope
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.pipeline.config import ShardPlan
 
 _SEARCH_STRATEGIES = ("exhaustive", "pyramid")
 
@@ -66,8 +82,7 @@ def _bin_indices(image: np.ndarray, bins: int) -> np.ndarray:
     Replicates ``np.histogramdd`` exactly — ``searchsorted(edges, v,
     'right')`` with the right edge inclusive — so joint histograms built
     from these indices match ``np.histogram2d`` count-for-count.  Pixels
-    outside [0, 1] get an out-of-range index (< 0 or >= ``bins``) and are
-    dropped from the joint histogram, as ``histogram2d`` drops them.
+    outside [0, 1] get an out-of-range index (< 0 or >= ``bins``).
     """
     edges = np.linspace(0.0, 1.0, bins + 1)
     idx = np.searchsorted(edges, image.reshape(-1), side="right").reshape(image.shape)
@@ -76,9 +91,46 @@ def _bin_indices(image: np.ndarray, bins: int) -> np.ndarray:
     return idx
 
 
+#: interleaved histogram copies per candidate (column mod _LANES)
+_LANES = 4
+
+
+def _quantise(image: np.ndarray, bins: int) -> np.ndarray:
+    """Bin indices with every out-of-range pixel in the sentinel bin ``bins``.
+
+    ``histogram2d`` drops pixels outside [0, 1]; here they are counted in
+    an extra row/column that the score discards, so the kept counts are
+    the same.  uint8 whenever the ``bins + 1`` values fit — the form the
+    sharded :func:`align_stack` ships to its workers.
+    """
+    idx = _bin_indices(image, bins)
+    idx[(idx < 0) | (idx >= bins)] = bins
+    return idx.astype(np.uint8) if bins < 256 else idx
+
+
+@dataclass(frozen=True)
+class _Sides:
+    """A quantised slice in both roles of the lane-split bincount search."""
+
+    ref: np.ndarray  #: ``idx*(bins+1) + (col % _LANES)*(bins+1)²`` (reference side)
+    mov: np.ndarray  #: ``idx`` (moving side)
+
+
+def _sides(q: np.ndarray, bins: int) -> _Sides:
+    nb = bins + 1
+    dtype = np.uint16 if _LANES * nb * nb <= 0xFFFF else np.intp
+    mov = q.astype(dtype)
+    lane = (np.arange(q.shape[1]) % _LANES * (nb * nb)).astype(dtype)
+    return _Sides(ref=mov * dtype(nb) + lane, mov=mov)
+
+
 def _shifted_overlap(a: np.ndarray, b: np.ndarray, dx: int, dz: int) -> tuple[np.ndarray, np.ndarray]:
-    """Overlapping crops of *a* and *b* when *b* is shifted by (dx, dz)."""
+    """Overlapping crops of *a* and *b* when *b* is shifted by (dx, dz).
+
+    Both crops are empty when the shift exceeds the extent on an axis.
+    """
     nx, nz = a.shape
+    dx, dz = max(-nx, min(nx, dx)), max(-nz, min(nz, dz))
     ax0, ax1 = max(0, dx), min(nx, nx + dx)
     bx0, bx1 = max(0, -dx), min(nx, nx - dx)
     az0, az1 = max(0, dz), min(nz, nz + dz)
@@ -86,44 +138,27 @@ def _shifted_overlap(a: np.ndarray, b: np.ndarray, dx: int, dz: int) -> tuple[np
     return a[ax0:ax1, az0:az1], b[bx0:bx1, bz0:bz1]
 
 
-@dataclass(frozen=True)
-class _IndexedImage:
-    """A slice pre-quantised for the bincount-MI search."""
-
-    indices: np.ndarray  #: per-pixel bin index (may be out of range)
-    all_valid: bool  #: no pixel falls outside [0, 1]
-
-
-def _index_image(image: np.ndarray, bins: int) -> _IndexedImage:
-    idx = _bin_indices(image, bins)
-    all_valid = bool(((idx >= 0) & (idx < bins)).all())
-    return _IndexedImage(indices=idx, all_valid=all_valid)
-
-
 def _score_shift(
-    a: _IndexedImage,
-    b: _IndexedImage,
+    a: _Sides,
+    b: _Sides,
     dx: int,
     dz: int,
     bins: int,
     shift_penalty: float,
 ) -> float | None:
     """Penalised MI of the (dx, dz) overlap, or ``None`` when empty."""
-    ca, cb = _shifted_overlap(a.indices, b.indices, dx, dz)
+    ca, cb = _shifted_overlap(a.ref, b.mov, dx, dz)
     if ca.size == 0:
         return None
-    if a.all_valid and b.all_valid:
-        fused = ca * bins + cb
-    else:
-        valid = (ca >= 0) & (ca < bins) & (cb >= 0) & (cb < bins)
-        fused = ca[valid] * bins + cb[valid]
-    counts = np.bincount(fused.reshape(-1), minlength=bins * bins).reshape(bins, bins)
+    nb = bins + 1
+    lanes = np.bincount((ca + cb).reshape(-1), minlength=_LANES * nb * nb)
+    counts = lanes.reshape(_LANES, nb, nb).sum(axis=0)[:bins, :bins]
     return _mi_from_counts(counts) - shift_penalty * (abs(dx) + abs(dz))
 
 
 def _best_shift(
-    a: _IndexedImage,
-    b: _IndexedImage,
+    a: _Sides,
+    b: _Sides,
     candidates: list[tuple[int, int]],
     bins: int,
     shift_penalty: float,
@@ -139,15 +174,15 @@ def _best_shift(
     return best, best_score
 
 
-def _align_pair_indexed(
-    a: _IndexedImage,
-    b: _IndexedImage,
+def _align_pair_sides(
+    a: _Sides,
+    b: _Sides,
     search_px: int,
     bins: int,
     shift_penalty: float,
     search_strategy: str,
 ) -> tuple[int, int]:
-    """The MI search over pre-quantised images."""
+    """The MI search over pre-quantised slices."""
     if search_strategy == "exhaustive":
         candidates = [
             (dx, dz)
@@ -177,6 +212,40 @@ def _align_pair_indexed(
     return _best_shift(a, b, refine, bins, shift_penalty, seed=(best, best_score))[0]
 
 
+def _align_items(
+    items: list[tuple[int, tuple[np.ndarray, ...]]],
+    baselines: tuple[int, ...],
+    search_px: int,
+    bins: int,
+    shift_penalty: float,
+    search_strategy: str,
+) -> list[tuple[tuple[int, int], ...]]:
+    """Per-baseline shifts of slice *i* for each ``(i, window)`` item.
+
+    ``window`` holds the quantised slices ``max(0, i - max(baselines))``
+    through *i*.  The result for an item is one shift per baseline ``k``
+    with ``i - k >= 0``, in *baselines* order, and depends on that item
+    alone — this is the batch function of the sharded :func:`align_stack`
+    as well as its in-process path.  Each distinct slice of the batch is
+    expanded to its search sides once.
+    """
+    sides: dict[int, _Sides] = {}
+    out = []
+    for i, window in items:
+        for j, q in enumerate(window, start=i + 1 - len(window)):
+            if j not in sides:
+                sides[j] = _sides(q, bins)
+        out.append(tuple(
+            _align_pair_sides(
+                sides[i - k], sides[i], search_px, bins, shift_penalty,
+                search_strategy,
+            )
+            for k in baselines
+            if i - k >= 0
+        ))
+    return out
+
+
 def align_pair(
     reference: np.ndarray,
     moving: np.ndarray,
@@ -191,8 +260,8 @@ def align_pair(
     information of the overlap — small search windows suffice because
     consecutive slices drift by at most a pixel or two.  Each image is
     quantised to histogram bin indices once and every candidate shift is
-    scored from a single ``np.bincount``; the result is identical to the
-    brute-force ``histogram2d`` search (retained as
+    scored from one ``np.bincount`` over lane-split indices; the result
+    is identical to the brute-force ``histogram2d`` search (retained as
     :func:`_reference_align_pair`).
 
     ``shift_penalty`` (nats per pixel of shift) regularises the search:
@@ -206,9 +275,9 @@ def align_pair(
     quarter of the candidates; it can differ from the exhaustive argmax on
     pathological MI surfaces, so the default stays ``"exhaustive"``.
     """
-    a = _index_image(reference, bins)
-    b = _index_image(moving, bins)
-    return _align_pair_indexed(a, b, search_px, bins, shift_penalty, search_strategy)
+    a = _sides(_quantise(reference, bins), bins)
+    b = _sides(_quantise(moving, bins), bins)
+    return _align_pair_sides(a, b, search_px, bins, shift_penalty, search_strategy)
 
 
 def _reference_align_pair(
@@ -272,21 +341,49 @@ class AlignmentReport:
 
 
 def apply_shift(image: np.ndarray, dx: int, dz: int) -> np.ndarray:
-    """Shift an image by whole pixels with edge replication."""
+    """Shift an image by whole pixels with edge replication.
+
+    Output pixel ``(x, z)`` reads input ``(x - dx, z - dz)`` clamped to the
+    image, so a shift at or beyond the extent replicates the edge row or
+    column across the whole axis.  Always returns a new array.
+    """
     out = image
-    if dx:
-        out = np.roll(out, dx, axis=0)
-        if dx > 0:
-            out[:dx, :] = out[dx, :]
-        else:
-            out[dx:, :] = out[dx - 1, :]
-    if dz:
-        out = np.roll(out, dz, axis=1)
-        if dz > 0:
-            out[:, :dz] = out[:, dz][:, None]
-        else:
-            out[:, dz:] = out[:, dz - 1][:, None]
+    for axis, d in ((0, dx), (1, dz)):
+        if d:
+            n = image.shape[axis]
+            out = np.take(out, np.clip(np.arange(n) - d, 0, n - 1), axis=axis)
     return out.copy() if out is image else out
+
+
+def _fuse(
+    images: list[np.ndarray],
+    shifts: dict[tuple[int, int], tuple[int, int]],
+    baselines: tuple[int, ...],
+    true_drift_px: list[tuple[int, int]] | None,
+) -> tuple[list[np.ndarray], AlignmentReport]:
+    """Fuse the (i, k) pairwise shifts into absolute corrections and apply them."""
+    absolute: list[tuple[int, int]] = [(0, 0)]
+    ax_f: list[tuple[float, float]] = [(0.0, 0.0)]
+    for i in range(1, len(images)):
+        predictions_x = [ax_f[i - k][0] + shifts[(i, k)][0] for k in baselines if i - k >= 0]
+        predictions_z = [ax_f[i - k][1] + shifts[(i, k)][1] for k in baselines if i - k >= 0]
+        fx = float(np.mean(predictions_x))
+        fz = float(np.mean(predictions_z))
+        ax_f.append((fx, fz))
+        absolute.append((int(round(fx)), int(round(fz))))
+
+    aligned = [apply_shift(img, dx, dz) for img, (dx, dz) in zip(images, absolute)]
+
+    residuals: list[tuple[int, int]] = []
+    if true_drift_px is not None:
+        if len(true_drift_px) != len(images):
+            raise AlignmentError("true drift length mismatch", stage="align")
+        # Perfect correction would be -drift (up to a global offset fixed by
+        # the first slice, whose drift is never observable).
+        ref_dx, ref_dz = true_drift_px[0]
+        for (cx, cz), (tx, tz) in zip(absolute, true_drift_px):
+            residuals.append((cx + (tx - ref_dx), cz + (tz - ref_dz)))
+    return aligned, AlignmentReport(corrections=absolute, residual_px=residuals)
 
 
 def align_stack(
@@ -298,6 +395,7 @@ def align_stack(
     workers: int = 1,
     shift_penalty: float = 0.01,
     search_strategy: str = "exhaustive",
+    shard: "ShardPlan | None" = None,
 ) -> tuple[list[np.ndarray], AlignmentReport]:
     """Align a slice stack and return the corrected images plus the report.
 
@@ -321,9 +419,15 @@ def align_stack(
     exact residuals for the 0.77 %-style budget check.
 
     Because every pairwise registration reads only the *raw* images, the
-    (i, i−k) estimates are mutually independent; with ``workers > 1`` they
-    are computed by a thread pool before the (sequential, cheap) fusion
-    pass.  The result is bit-identical for any worker count.
+    searches of slice *i* against its predecessors depend on nothing but
+    those slices.  With ``shard`` (a
+    :class:`repro.pipeline.config.ShardPlan`) engaged, each slice's
+    searches become one item for the campaign's shared shard *process*
+    pool, shipped as uint8 bin indices (plans with ``bins >= 256`` stay
+    in-process and count a shard fallback); otherwise ``workers > 1``
+    splits them over a thread pool.  The (sequential, cheap) fusion pass
+    runs here either way, and the result is bit-identical for any worker
+    count, shard batch size and ordering.
     """
     if not images:
         raise AlignmentError("empty stack", stage="align")
@@ -333,67 +437,48 @@ def align_stack(
             f"(expected one of {_SEARCH_STRATEGIES})"
         )
 
+    n = len(images)
+    sharded = shard is not None and shard.engaged(n - 1)
+    if sharded and bins >= 256:
+        from repro.runtime.shard import note_shard_fallback
+
+        note_shard_fallback("align", "bins-exceed-uint8")
+        sharded = False
     with kernel_scope(
         "align_stack",
         pixels=sum(int(img.size) for img in images),
-        slices=len(images),
+        slices=n,
         strategy=search_strategy,
         workers=workers,
+        sharded=sharded,
     ) as scope:
-        indexed = [_index_image(img, bins) for img in images]
-        pairs = [
-            (i, k)
-            for i in range(1, len(images))
-            for k in baselines
-            if i - k >= 0
-        ]
-        scope.set(pairs=len(pairs))
+        depth = max(baselines)
+        quantised = [_quantise(img, bins) for img in images]
+        items = [(i, tuple(quantised[max(0, i - depth):i + 1])) for i in range(1, n)]
+        search = partial(
+            _align_items, baselines=baselines, search_px=search_px, bins=bins,
+            shift_penalty=shift_penalty, search_strategy=search_strategy,
+        )
+        if sharded:
+            from repro.runtime.shard import shard_map
 
-        def _pair_shift(pair: tuple[int, int]) -> tuple[int, int]:
-            i, k = pair
-            return _align_pair_indexed(
-                indexed[i - k], indexed[i], search_px, bins, shift_penalty,
-                search_strategy,
-            )
-
-        if workers > 1 and len(pairs) > 1:
+            per_item = shard_map("align", search, items, shard)
+        elif workers > 1 and len(items) > 1:
             from concurrent.futures import ThreadPoolExecutor
 
+            step = -(-len(items) // workers)
+            chunks = [items[j:j + step] for j in range(0, len(items), step)]
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                shifts = dict(zip(pairs, pool.map(_pair_shift, pairs)))
+                per_item = [r for done in pool.map(search, chunks) for r in done]
         else:
-            shifts = {pair: _pair_shift(pair) for pair in pairs}
-
-        absolute: list[tuple[int, int]] = [(0, 0)]
-        ax_f: list[tuple[float, float]] = [(0.0, 0.0)]
-        for i in range(1, len(images)):
-            predictions_x: list[float] = []
-            predictions_z: list[float] = []
-            for k in baselines:
-                if i - k < 0:
-                    continue
-                dx, dz = shifts[(i, k)]
-                predictions_x.append(ax_f[i - k][0] + dx)
-                predictions_z.append(ax_f[i - k][1] + dz)
-            fx = float(np.mean(predictions_x))
-            fz = float(np.mean(predictions_z))
-            ax_f.append((fx, fz))
-            absolute.append((int(round(fx)), int(round(fz))))
-
-        aligned = [apply_shift(img, dx, dz) for img, (dx, dz) in zip(images, absolute)]
-
-        residuals: list[tuple[int, int]] = []
-        if true_drift_px is not None:
-            if len(true_drift_px) != len(images):
-                raise AlignmentError("true drift length mismatch", stage="align")
-            # Perfect correction would be -drift (up to a global offset fixed by
-            # the first slice, whose drift is never observable).
-            ref_dx, ref_dz = true_drift_px[0]
-            for (cx, cz), (tx, tz) in zip(absolute, true_drift_px):
-                residuals.append((cx + (tx - ref_dx), cz + (tz - ref_dz)))
-
-        report = AlignmentReport(corrections=absolute, residual_px=residuals)
-        return aligned, report
+            per_item = search(items)
+        shifts = {
+            (i, k): shift
+            for i, item_shifts in enumerate(per_item, start=1)
+            for k, shift in zip([k for k in baselines if i - k >= 0], item_shifts)
+        }
+        scope.set(pairs=len(shifts))
+        return _fuse(images, shifts, baselines, true_drift_px)
 
 
 def _reference_align_stack(
@@ -407,8 +492,9 @@ def _reference_align_stack(
     """Stack alignment over the brute-force pairwise search.
 
     Same fusion pass as :func:`align_stack`, but every pairwise estimate
-    comes from :func:`_reference_align_pair` — the perf harness times this
-    to report the real end-to-end speedup of the bincount rewrite.
+    comes from :func:`_reference_align_pair` — the equality tests compare
+    the two end to end, and the perf harness times this to report the
+    fast path's speedup.
     """
     if not images:
         raise AlignmentError("empty stack", stage="align")
@@ -421,21 +507,4 @@ def _reference_align_stack(
         for k in baselines
         if i - k >= 0
     }
-    absolute: list[tuple[int, int]] = [(0, 0)]
-    ax_f: list[tuple[float, float]] = [(0.0, 0.0)]
-    for i in range(1, len(images)):
-        predictions_x = [ax_f[i - k][0] + shifts[(i, k)][0] for k in baselines if i - k >= 0]
-        predictions_z = [ax_f[i - k][1] + shifts[(i, k)][1] for k in baselines if i - k >= 0]
-        fx = float(np.mean(predictions_x))
-        fz = float(np.mean(predictions_z))
-        ax_f.append((fx, fz))
-        absolute.append((int(round(fx)), int(round(fz))))
-    aligned = [apply_shift(img, dx, dz) for img, (dx, dz) in zip(images, absolute)]
-    residuals: list[tuple[int, int]] = []
-    if true_drift_px is not None:
-        if len(true_drift_px) != len(images):
-            raise AlignmentError("true drift length mismatch", stage="align")
-        ref_dx, ref_dz = true_drift_px[0]
-        for (cx, cz), (tx, tz) in zip(absolute, true_drift_px):
-            residuals.append((cx + (tx - ref_dx), cz + (tz - ref_dz)))
-    return aligned, AlignmentReport(corrections=absolute, residual_px=residuals)
+    return _fuse(images, shifts, baselines, true_drift_px)

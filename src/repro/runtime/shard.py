@@ -2,19 +2,20 @@
 
 The chip-level pool in :mod:`repro.runtime.campaign` parallelises across
 chips; this module parallelises *within* a chip.  The per-slice stages
-(acquire imaging, TV denoise, slice QC) are embarrassingly parallel
-across slices, so a :class:`~repro.pipeline.config.ShardPlan` partitions
-their slices into deterministic batches and :func:`shard_map` fans the
-batches out to a process pool shared by every stage running in this
-process.  The two levels compose: a six-chip campaign on a 32-core
-machine runs six chip workers with five shard workers each, and a
-single-chip campaign gives all its workers to shards — either way the
-machine is saturated.
+(acquire imaging, TV denoise, slice QC, and the MI searches of
+alignment) are embarrassingly parallel across slices, so a
+:class:`~repro.pipeline.config.ShardPlan` partitions their slices into
+deterministic batches and :func:`shard_map` fans the batches out to a
+process pool shared by every stage running in this process.  The two
+levels compose: a six-chip campaign on a 32-core machine runs six chip
+workers with five shard workers each, and a single-chip campaign gives
+all its workers to shards — either way the machine is saturated.
 
 Determinism contract
 --------------------
 Per-slice work is pure per slice (the acquire RNG is a counter-based
-per-slice stream, denoise and QC read only their own slice), batches are
+per-slice stream, denoise and QC read only their own slice, an align
+item carries the raw slices its searches read), batches are
 a pure function of ``(n_items, plan)``, and the merge reassembles
 results by slice index.  Output is therefore bit-identical to the serial
 path for **every** batch size, ordering and worker count — the property
@@ -47,9 +48,9 @@ Observability
 Each batch is wrapped in a ``kind="shard"`` span on the submitting
 process's tracer, so shard spans nest under whatever span issued them —
 in the pipeline, the stage's ``kernel_scope`` span (``acquire_stack``,
-``denoise_stack``, ``qc_stack``), which itself nests under the stage
-span.  The batch runs remotely; the span measures the submitter's wait,
-which is the schedulable quantity.  Counters:
+``denoise_stack``, ``qc_stack``, ``align_stack``), which itself nests
+under the stage span.  The batch runs remotely; the span measures the
+submitter's wait, which is the schedulable quantity.  Counters:
 
 =====================================  ====================================
 ``repro_shard_batches_total{stage}``   batches dispatched

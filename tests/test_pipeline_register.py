@@ -9,6 +9,7 @@ from repro.pipeline.register import (
     AlignmentReport,
     _reference_align_pair,
     _reference_align_stack,
+    _shifted_overlap,
     align_pair,
     align_stack,
     apply_shift,
@@ -37,6 +38,18 @@ class TestMutualInformation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(PipelineError):
             mutual_information(np.zeros((4, 4)), np.zeros((5, 4)))
+
+
+def _noisy_stack(seed, drift, spill=0.0):
+    """A blocky 48x40 slice shifted by *drift*; *spill* widens the noise
+    so that pixels land outside [0, 1]."""
+    rng = np.random.default_rng(seed)
+    base = np.clip(np.kron(rng.random((6, 5)), np.ones((8, 8))), 0, 1)
+    images = []
+    for d in drift:
+        img = apply_shift(base, *d) + rng.normal(0, 0.03 + spill, base.shape)
+        images.append(img if spill else np.clip(img, 0, 1))
+    return images
 
 
 class TestAlignPair:
@@ -114,21 +127,24 @@ class TestBincountEqualsBruteForce:
         b = np.roll(a, (1, -1), (0, 1)) + rng.normal(0, 0.05, a.shape)
         assert align_pair(a, b, search_px=2) == _reference_align_pair(a, b, search_px=2)
 
-    @settings(max_examples=6, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_align_stack_identical_on_random_noisy_stacks(self, seed):
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 6),
+        bins=st.sampled_from([2, 32, 126, 127, 300]),
+        baselines=st.sampled_from([(1,), (1, 2), (1, 2, 3)]),
+        spill=st.sampled_from([0.0, 0.4]),
+    )
+    def test_align_stack_identical_on_random_noisy_stacks(self, seed, n, bins, baselines, spill):
+        """Also covers the sentinel bin (*spill* puts pixels outside
+        [0, 1]), both sides of the uint16 lane limit (bins 126/127) and
+        bins past the uint8 limit."""
         rng = np.random.default_rng(seed)
-        base = np.clip(
-            np.kron(rng.random((6, 5)), np.ones((8, 8))) + rng.normal(0, 0.05, (48, 40)), 0, 1
-        )
-        images, drift = [], []
-        for i in range(6):
-            d = (int(rng.integers(-1, 2)) * (i % 2), int(rng.integers(-1, 2)))
-            images.append(np.clip(
-                apply_shift(base.copy(), *d) + rng.normal(0, 0.03, base.shape), 0, 1))
-            drift.append(d)
-        fast, rep_fast = align_stack(images, search_px=2, true_drift_px=drift)
-        ref, rep_ref = _reference_align_stack(images, search_px=2, true_drift_px=drift)
+        drift = [(int(rng.integers(-1, 2)) * (i % 2), int(rng.integers(-1, 2))) for i in range(n)]
+        images = _noisy_stack(seed, drift, spill)
+        kwargs = {"search_px": 2, "bins": bins, "baselines": baselines, "true_drift_px": drift}
+        fast, rep_fast = align_stack(images, **kwargs)
+        ref, rep_ref = _reference_align_stack(images, **kwargs)
         assert rep_fast.corrections == rep_ref.corrections
         assert rep_fast.residual_px == rep_ref.residual_px
         for f, r in zip(fast, ref):
@@ -157,6 +173,100 @@ class TestBincountEqualsBruteForce:
             align_pair(img, img, search_strategy="simulated_annealing")
         with pytest.raises(PipelineError, match="strategy"):
             align_stack([img, img], search_strategy="simulated_annealing")
+
+
+class TestAlignStackPaths:
+    def test_thread_workers_match_serial(self):
+        images = _noisy_stack(4, [(i % 2, -(i % 3)) for i in range(7)])
+        serial = align_stack(images, search_px=2)
+        threaded = align_stack(images, search_px=2, workers=3)
+        assert threaded[1].corrections == serial[1].corrections
+        for a, b in zip(threaded[0], serial[0]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_single_slice_stack(self):
+        (out,), report = align_stack([_texture()])
+        np.testing.assert_array_equal(out, _texture())
+        assert report.corrections == [(0, 0)]
+
+
+def _roll_shift(image, dx, dz):
+    """The np.roll formulation of apply_shift (valid for |shift| < extent)."""
+    out = image
+    if dx:
+        out = np.roll(out, dx, axis=0)
+        if dx > 0:
+            out[:dx, :] = out[dx, :]
+        else:
+            out[dx:, :] = out[dx - 1, :]
+    if dz:
+        out = np.roll(out, dz, axis=1)
+        if dz > 0:
+            out[:, :dz] = out[:, dz][:, None]
+        else:
+            out[:, dz:] = out[:, dz - 1][:, None]
+    return out.copy() if out is image else out
+
+
+class TestShiftBounds:
+    """Shifts at or beyond the image extent."""
+
+    @pytest.mark.parametrize("dx, dz", [(4, 0), (-4, 0), (0, 5), (-3, -3), (9, -9)])
+    def test_overlap_is_empty_beyond_extent(self, dx, dz):
+        a = np.arange(9).reshape(3, 3)
+        ca, cb = _shifted_overlap(a, a, dx, dz)
+        assert ca.shape == cb.shape
+        assert ca.size == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        nx=st.integers(1, 5),
+        nz=st.integers(1, 5),
+        search_px=st.integers(0, 6),
+    )
+    def test_tiny_images_match_reference(self, seed, nx, nz, search_px):
+        rng = np.random.default_rng(seed)
+        a, b = rng.random((nx, nz)), rng.random((nx, nz))
+        assert align_pair(a, b, search_px=search_px) == _reference_align_pair(
+            a, b, search_px=search_px
+        )
+
+    def test_search_wider_than_image(self):
+        a = np.random.default_rng(0).random((3, 3))
+        assert align_pair(a, a, search_px=4) == _reference_align_pair(a, a, search_px=4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        nx=st.integers(1, 9),
+        nz=st.integers(1, 9),
+        data=st.data(),
+        float32=st.booleans(),
+    )
+    def test_apply_shift_equals_roll_in_range(self, seed, nx, nz, data, float32):
+        img = np.random.default_rng(seed).random((nx, nz))
+        if float32:
+            img = img.astype(np.float32)
+        dx = data.draw(st.integers(-(nx - 1), nx - 1))
+        dz = data.draw(st.integers(-(nz - 1), nz - 1))
+        out = apply_shift(img, dx, dz)
+        expected = _roll_shift(img, dx, dz)
+        assert out.dtype == expected.dtype
+        np.testing.assert_array_equal(out, expected)
+        assert out is not img
+
+    @pytest.mark.parametrize("dx, dz", [(5, 0), (-5, 0), (0, 7), (0, -4), (12, -9)])
+    def test_apply_shift_replicates_edges_beyond_extent(self, dx, dz):
+        img = np.random.default_rng(1).random((5, 4))
+        out = apply_shift(img, dx, dz)
+        rows = np.clip(np.arange(5) - dx, 0, 4)
+        cols = np.clip(np.arange(4) - dz, 0, 3)
+        np.testing.assert_array_equal(out, img[np.ix_(rows, cols)])
+        if dx >= 5:
+            assert (out == out[0]).all()
+        if dx <= -5:
+            assert (out == out[-1]).all()
 
 
 class TestReport:

@@ -21,6 +21,7 @@ from repro.imaging.voxel import voxelize
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.pipeline import PipelineConfig, ShardPlan
 from repro.pipeline.denoise import denoise_stack
+from repro.pipeline.register import _reference_align_stack, align_stack
 from repro.pipeline.stack import qc_stack
 from repro.runtime import (
     ChipJob,
@@ -242,7 +243,7 @@ class TestPayloadNbytes:
 
 
 class TestShardedStages:
-    """The three per-slice stages, sharded vs serial, byte for byte."""
+    """The sharded stages, sharded vs serial, byte for byte."""
 
     @pytest.mark.parametrize("plan_kwargs", [
         {},
@@ -318,6 +319,72 @@ class TestShardedStages:
             shard=_plan(batch=2),
         )
         assert pickle.dumps(sharded) == pickle.dumps(serial)
+
+
+def _align_stack_images(seed, n, spill):
+    """A drifting blocky stack; *spill* pushes pixels outside [0, 1]."""
+    rng = np.random.default_rng(seed)
+    base = np.kron(rng.random((5, 4)), np.ones((8, 8)))
+    images = []
+    for i in range(n):
+        img = np.roll(base, (i % 3 - 1, (i // 2) % 2), (0, 1))
+        img = img + rng.normal(0, 0.03 + spill, base.shape)
+        images.append(img if spill else np.clip(img, 0, 1))
+    return images
+
+
+class TestShardedAlign:
+    """align_stack's per-slice searches on the shard pool."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 7),
+        batch=st.sampled_from([1, None]),
+        ordering=st.sampled_from(["contiguous", "striped"]),
+        bins=st.sampled_from([32, 126, 127]),
+        baselines=st.sampled_from([(1,), (1, 2, 3)]),
+        spill=st.sampled_from([0.0, 0.4]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_bit_identical_to_serial_and_reference(
+        self, seed, n, batch, ordering, bins, baselines, spill
+    ):
+        images = _align_stack_images(seed, n, spill)
+        kwargs = {"search_px": 2, "bins": bins, "baselines": baselines}
+        serial = align_stack(images, **kwargs)
+        sharded = align_stack(
+            images, shard=_plan(batch=batch, ordering=ordering), **kwargs
+        )
+        assert pickle.dumps(sharded) == pickle.dumps(serial)
+        _, ref_report = _reference_align_stack(images, **kwargs)
+        assert sharded[1].corrections == ref_report.corrections
+
+    def test_engaged_plan_dispatches_align_batches(self):
+        images = _align_stack_images(1, 6, 0.0)
+        reg = MetricsRegistry()
+        tracer = Tracer()
+        with use_metrics(reg), use_tracer(tracer):
+            with tracer.span("align", kind="stage"):
+                sharded = align_stack(images, search_px=2, shard=_plan(batch=2))
+        assert reg.counter("repro_shard_batches_total", stage="align").value == 3
+        assert reg.counter("repro_shard_slices_total", stage="align").value == 5
+        shard_spans = [s for s in tracer.finished_spans() if s.kind == "shard"]
+        assert shard_spans and all(s.attrs["stage"] == "align" for s in shard_spans)
+        assert pickle.dumps(sharded) == pickle.dumps(align_stack(images, search_px=2))
+
+    def test_bins_past_uint8_fall_back_in_process(self):
+        images = _align_stack_images(2, 5, 0.0)
+        reg = MetricsRegistry()
+        with use_metrics(reg):
+            sharded = align_stack(images, search_px=2, bins=300, shard=_plan())
+        assert reg.counter(
+            "repro_shard_fallback_total", stage="align", reason="bins-exceed-uint8"
+        ).value == 1
+        assert reg.counter("repro_shard_batches_total", stage="align").value == 0
+        serial = align_stack(images, search_px=2, bins=300)
+        assert pickle.dumps(sharded) == pickle.dumps(serial)
+        _, ref_report = _reference_align_stack(images, search_px=2, bins=300)
+        assert sharded[1].corrections == ref_report.corrections
 
 
 FAST = PipelineConfig(denoise_iterations=10, align_search_px=2, align_baselines=(1, 2))
