@@ -20,9 +20,10 @@ here each sweep cell is an in-process campaign job:
   fan-out, quarantine-on-failure and the ``repro.obs`` spans/metrics —
   none of which the analog code reimplements.
 
-Inside each cell everything runs on the batched solver: the nominal
-activation, the offset-tolerance ladder and all Monte-Carlo trials are
-single :meth:`~repro.analog.sense_amp.SenseAmpBench.run_batch` calls.
+Inside each cell everything runs on the batched solver in two
+:meth:`~repro.analog.sense_amp.SenseAmpBench.run_batch` calls: one for
+the nominal activation plus both offset-tolerance ladders (the stored
+value is per instance), one for all Monte-Carlo trials.
 
 The result surface is the versioned ``characterization-report/1``
 JSON (:class:`CharacterizationReport`), following the same
@@ -198,6 +199,19 @@ class CellResult:
         )
 
 
+def _nominal_layout(spec: CharacterizationSpec) -> list[tuple[int, float, str]]:
+    """``(data, latch mismatch V, label)`` of every instance in a cell's
+    one ``char_nominal`` batch: the mismatch-free run with ``spec.data``,
+    then the offset ladder for data 0 and for data 1, each ascending."""
+    layout = [(spec.data, 0.0, "nominal")]
+    for data in (0, 1):
+        layout += [
+            (data, mv / 1000.0, f"data-{data} rung at {mv:g} mV")
+            for mv in spec.offset_scan_mv
+        ]
+    return layout
+
+
 def _nan_on_analog_error(fn, outcome: ActivationOutcome) -> float:
     try:
         return float(fn(outcome))
@@ -214,15 +228,17 @@ class CharacterizationJob:
     and supplies its own two-stage chain:
 
     ``char_nominal``
-        one mismatch-free activation plus the offset-tolerance ladder
-        (cache params: the cell + the bench-affecting spec fields);
+        one mismatch-free activation plus the data-0 and data-1
+        offset-tolerance ladders, as one batch laid out by
+        :func:`_nominal_layout` (cache params: the cell + the
+        bench-affecting spec fields);
     ``char_mc``
         the Monte-Carlo yield batch, keyed on top of the nominal stage
         by the MC-only fields, producing the :class:`CellResult`.
 
     A converged-less solver raises :class:`CharacterizationError`
-    (a :class:`StageError`), so the campaign quarantines the cell and
-    the rest of the sweep completes.
+    (a :class:`StageError`) naming the runs that failed, so the campaign
+    quarantines the cell and the rest of the sweep completes.
     """
 
     name: str
@@ -257,30 +273,34 @@ class CharacterizationJob:
                     chip_id=self.name,
                     stage="char_nominal",
                 )
-            bench = self._bench()
+            layout = _nominal_layout(spec)
             try:
-                outcome = bench.run_batch(
-                    spec.data, [0.0], dt_ns=spec.dt_ns, max_newton=spec.max_newton
-                )[0]
-                scan = [mv / 1000.0 for mv in spec.offset_scan_mv]
-                tolerance = math.inf
-                for data in (0, 1):
-                    ladder = bench.run_batch(
-                        data, scan, dt_ns=spec.dt_ns, max_newton=spec.max_newton
-                    )
-                    passing = 0.0
-                    for level_v, step in zip(scan, ladder):
-                        if not step.correct:
-                            break
-                        passing = level_v
-                    tolerance = min(tolerance, passing)
+                outcomes = self._bench().run_batch(
+                    [data for data, _v, _label in layout],
+                    [level_v for _data, level_v, _label in layout],
+                    dt_ns=spec.dt_ns,
+                    max_newton=spec.max_newton,
+                )
             except AnalogError as exc:
+                failed = [layout[i][2] for i in getattr(exc, "instances", None) or ()]
+                runs = f" (failed runs: {', '.join(failed)})" if failed else ""
                 raise CharacterizationError(
-                    f"sweep cell failed to simulate: {exc}",
+                    f"sweep cell failed to simulate{runs}: {exc}",
                     chip_id=self.name,
                     stage="char_nominal",
-                    details={"cell": cell.name},
+                    details={"cell": cell.name, "failed_runs": failed},
                 ) from exc
+            outcome = outcomes[0]
+            n_rungs = len(spec.offset_scan_mv)
+            tolerance = math.inf
+            for start in (1, 1 + n_rungs):
+                ladder = slice(start, start + n_rungs)
+                passing = 0.0
+                for (_data, level_v, _label), step in zip(layout[ladder], outcomes[ladder]):
+                    if not step.correct:
+                        break
+                    passing = level_v
+                tolerance = min(tolerance, passing)
             nominal = {
                 "sensing_latency_ns": _nan_on_analog_error(sensing_latency_ns, outcome),
                 "restore_latency_ns": _nan_on_analog_error(restore_latency_ns, outcome),
@@ -290,7 +310,7 @@ class CharacterizationJob:
             notes = {
                 k: v for k, v in nominal.items() if math.isfinite(v)
             }
-            notes["offset_ladder_runs"] = float(2 * len(scan) + 1)
+            notes["offset_ladder_runs"] = float(len(layout))
             return {"nominal": nominal}, notes
 
         def run_mc(ctx: dict) -> tuple[dict, dict[str, float]]:

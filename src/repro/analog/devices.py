@@ -94,10 +94,10 @@ def mos_current(model: MosModel, w_over_l: float, vg: float, vd: float, vs: floa
 
 
 def _nmos_forward_vec(
-    kp: float | np.ndarray,
+    kp_wl: float | np.ndarray,
+    half_kp_wl: float | np.ndarray,
     vt: float | np.ndarray,
     lam: float | np.ndarray,
-    wl: float,
     vgs: np.ndarray,
     vds: np.ndarray,
 ) -> np.ndarray:
@@ -106,14 +106,42 @@ def _nmos_forward_vec(
     Every branch evaluates the *same* IEEE expression, in the same
     operation order, as the scalar path; ``np.where`` only selects which
     branch's value survives.  That is what makes the batched solver
-    bit-identical to the scalar one per instance.
+    bit-identical to the scalar one per instance.  The scalar evaluates
+    ``kp * wl`` and ``0.5 * kp * wl`` first (left to right), so callers
+    pass those bias-independent products in, and the repeated
+    ``GLEAK * vds`` and ``1.0 + lam * vds`` factors are computed once.
     """
     vov = vgs - vt
     leak = GLEAK * vds
-    triode = kp * wl * (vov * vds - 0.5 * vds * vds) * (1.0 + lam * vds) + GLEAK * vds
-    sat = 0.5 * kp * wl * vov * vov * (1.0 + lam * vds) + GLEAK * vds
+    clm = 1.0 + lam * vds
+    triode = kp_wl * (vov * vds - 0.5 * vds * vds) * clm + leak
+    sat = half_kp_wl * vov * vov * clm + leak
     conducting = np.where(vds < vov, triode, sat)
     return np.where(vov <= 0.0, leak, conducting)
+
+
+def nmos_current_vec(
+    kp_wl: float | np.ndarray,
+    half_kp_wl: float | np.ndarray,
+    vt: float | np.ndarray,
+    lam: float | np.ndarray,
+    vg: np.ndarray,
+    vd: np.ndarray,
+    vs: np.ndarray,
+) -> np.ndarray:
+    """Batched NMOS :func:`mos_current` with ``kp·W/L`` and ``0.5·kp·W/L``
+    folded in by the caller.
+
+    The drain/source swap picks each element's frame *before* one
+    forward evaluation, which then subtracts exactly the operands the
+    scalar branch would, so one evaluation replaces computing both
+    frames and selecting.
+    """
+    forward = vd >= vs
+    source = np.where(forward, vs, vd)
+    drain = np.where(forward, vd, vs)
+    current = _nmos_forward_vec(kp_wl, half_kp_wl, vt, lam, vg - source, drain - source)
+    return np.where(forward, current, -current)
 
 
 def mos_current_vec(
@@ -136,9 +164,7 @@ def mos_current_vec(
     """
     if channel == "pmos":
         return -mos_current_vec("nmos", kp, vt, lam, w_over_l, -vg, -vd, -vs)
-    forward = _nmos_forward_vec(kp, vt, lam, w_over_l, vg - vs, vd - vs)
-    swapped = -_nmos_forward_vec(kp, vt, lam, w_over_l, vg - vd, vs - vd)
-    return np.where(vd >= vs, forward, swapped)
+    return nmos_current_vec(kp * w_over_l, 0.5 * kp * w_over_l, vt, lam, vg, vd, vs)
 
 
 def mos_ids(

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from repro.analog.devices import MosModel, NMOS_DEFAULT, PMOS_DEFAULT
 from repro.analog.events import EventTimeline, timeline_for
 from repro.analog.solver import (
@@ -218,7 +220,7 @@ class SenseAmpBench:
 
     def run_batch(
         self,
-        data: int,
+        data: int | Sequence[int],
         vt_mismatches: Sequence[float],
         timeline: EventTimeline | None = None,
         dt_ns: float = 0.05,
@@ -228,18 +230,28 @@ class SenseAmpBench:
         """Simulate one activation per mismatch value, as a single batch.
 
         All instances share the circuit and stimuli and differ only in
-        the latch Vt mismatch, so the whole set is stamped into one
-        stacked ``(N, nodes, nodes)`` MNA system and integrated in a
-        single time loop (see :class:`BatchedTransientSolver`).  Each
-        returned outcome is bit-identical to a scalar :meth:`run` with
-        the same mismatch — including mismatch 0.0, since shifting a
-        threshold by ``+0.0/2`` is a bit-exact no-op.
+        the latch Vt mismatch and, when *data* is a per-instance sequence
+        (one stored value per mismatch), in the stored cell value; the
+        whole set is stamped into one stacked ``(N, nodes, nodes)`` MNA
+        system and integrated in a single time loop (see
+        :class:`BatchedTransientSolver`).  Each returned outcome is
+        bit-identical to a scalar :meth:`run` with the same data and
+        mismatch — including mismatch 0.0, since shifting a threshold by
+        ``+0.0/2`` is a bit-exact no-op.
         """
-        if data not in (0, 1):
-            raise AnalogError("data must be 0 or 1")
         mismatches = [float(m) for m in vt_mismatches]
+        if isinstance(data, (int, np.integer)):
+            stored = [data] * max(len(mismatches), 1)
+        else:
+            stored = list(data)
+        if any(d not in (0, 1) for d in stored):
+            raise AnalogError("data must be 0 or 1")
         if not mismatches:
             raise AnalogError("need at least one mismatch value")
+        if len(stored) != len(mismatches):
+            raise AnalogError(
+                f"got {len(stored)} data values for {len(mismatches)} mismatches"
+            )
         cfg = self.config
         timeline = timeline or timeline_for(cfg.topology, vdd=cfg.vdd, vpp=cfg.vpp)
         circuit = self.build_circuit()
@@ -269,12 +281,12 @@ class SenseAmpBench:
         record = ["BL", "BLB", "CELL", "LA", "LAB"]
         if cfg.topology is SaTopology.OCSA:
             record += ["SABL", "SABLB"]
-        batch = solver.run(
-            t_stop_ns=t_stop,
-            dt_ns=dt_ns,
-            ic=self.initial_conditions(data),
-            record=record,
-        )
+        per_data = {d: self.initial_conditions(d) for d in set(stored)}
+        ic = {
+            net: np.array([per_data[d][net] for d in stored])
+            for net in per_data[stored[0]]
+        }
+        batch = solver.run(t_stop_ns=t_stop, dt_ns=dt_ns, ic=ic, record=record)
 
         t_eval = timeline.event("latch_restore").end_ns - 0.2
         outcomes: list[ActivationOutcome] = []
@@ -287,7 +299,7 @@ class SenseAmpBench:
                     config=cfg,
                     timeline=timeline,
                     result=result,
-                    data_written=data,
+                    data_written=stored[i],
                     data_sensed=1 if bl > blb else 0,
                     bl_final=bl,
                     blb_final=blb,

@@ -34,7 +34,7 @@ from repro.analog.devices import (
     NMOS_DEFAULT,
     PMOS_DEFAULT,
     mos_current,
-    mos_current_vec,
+    nmos_current_vec,
 )
 from repro.circuits.netlist import Circuit, Device, DeviceType
 from repro.errors import AnalogError, ConvergenceError
@@ -401,22 +401,36 @@ class BatchedTransientSolver(TransientSolver):
     are shared.  That makes every instance's conductance matrix the same
     shape with different entries, so the whole batch assembles into one
     ``(N, nodes, nodes)`` stack and one batched ``numpy.linalg.solve``
-    per Newton iteration — amortising the per-device Python overhead
-    that dominates the scalar solver over the batch.
+    per Newton iteration.  Assembly walks no devices at run time: a
+    stamp plan built once per solver lists every stamp of the scalar
+    device walk as a flat index, all MOS devices (and their three
+    ``FD_STEP`` perturbations) are evaluated in one ``(4, D, N)`` pass,
+    and the stamps are scattered into the stack in one weighted
+    ``np.bincount`` per matrix.
 
     Bit-identity contract: instance *i* of a batched run is bit-identical
     to a scalar :class:`TransientSolver` run with that instance's device
-    models.  Three things uphold it: the vectorized device evaluation
-    computes the same IEEE expressions in the same order
-    (:func:`~repro.analog.devices.mos_current_vec`), assembly walks the
-    circuit's devices in the same order (float accumulation order is
-    preserved per matrix entry), and Newton damps/converges *per
-    instance* — a converged instance freezes while stragglers iterate,
-    exactly like the scalar early return.  LAPACK's batched ``solve``
-    factors each matrix independently, so the solve step is bit-identical
-    too.  The scalar :class:`TransientSolver` is the retained reference
+    models.  Four things uphold it:
+
+    * the device evaluation computes the scalar's IEEE expressions in the
+      scalar's order (:func:`~repro.analog.devices.nmos_current_vec`);
+      the PMOS mirror is ``s·f(s·vg, s·vd, s·vs)`` with ``s = −1.0``,
+      and multiplying by ±1.0 is exact;
+    * the scatter preserves each entry's accumulation order: the stamp
+      plan lists stamps in the scalar walk order (gmin, then each
+      device's stamps; subtraction stored as adding the negated value,
+      which IEEE defines as the same operation), and ``np.bincount``
+      adds each bin's weights in input order starting from 0.0, exactly
+      as the scalar ``+=`` walk starts from ``np.zeros``;
+    * Newton damps/converges *per instance* — a converged instance
+      freezes while stragglers iterate, exactly like the scalar early
+      return, so batch composition cannot change an instance's result;
+    * LAPACK's batched ``solve`` factors each matrix independently.
+
+    The scalar :class:`TransientSolver` is the retained reference
     implementation the perf harness and the property tests compare
-    against.
+    against (``tests/test_analog_batch.py`` checks the assembly itself,
+    entry by entry, over every stamp path).
 
     ``device_models`` accepts per-instance sequences: ``{"n2": [m0, m1,
     ...]}`` gives instance *i* model ``m_i`` for device ``n2``.  Scalar
@@ -470,32 +484,175 @@ class BatchedTransientSolver(TransientSolver):
             )
         self.batch = batch
 
-        # Per-MOS-device model parameters: floats when shared, (N,) arrays
-        # when per-instance.  Channel cannot vary across a batch (it would
-        # change the circuit, not a parameter).
-        self._mos_params: dict[str, tuple[str, Any, Any, Any]] = {}
-        for dev in circuit:
-            if not dev.dtype.is_mos:
-                continue
-            entry = self._raw_device_models.get(dev.name)
-            if entry is None:
-                base = self.nmos if dev.dtype is DeviceType.NMOS else self.pmos
-                self._mos_params[dev.name] = (base.channel, base.kp, base.vt, base.lam)
-            elif isinstance(entry, MosModel):
-                self._mos_params[dev.name] = (entry.channel, entry.kp, entry.vt, entry.lam)
-            else:
-                models = list(entry)
-                channels = {m.channel for m in models}
-                if len(channels) != 1:
-                    raise AnalogError(
-                        f"device {dev.name!r} mixes channels across the batch"
-                    )
-                self._mos_params[dev.name] = (
-                    models[0].channel,
-                    np.array([m.kp for m in models]),
-                    np.array([m.vt for m in models]),
-                    np.array([m.lam for m in models]),
+        self._build_stamp_plan()
+
+    def _build_stamp_plan(self) -> None:
+        """Flatten the scalar device walk into index arrays, once.
+
+        Every ``+=``/``-=`` the scalar :meth:`TransientSolver._assemble`
+        performs becomes one *stamp*: a flat matrix (or RHS) index plus
+        where its value comes from, listed in the scalar walk order
+        (gmin first, then each device's stamps).  Subtraction is stored
+        as adding the negated value, which IEEE defines to be the same
+        operation.
+        """
+        n = self._n_unknowns
+        ground = self._n_nodes  # the zero row appended to gathered voltages
+        n_mos = self.circuit.mos_count()
+        n_caps = self.circuit.count(DeviceType.CAPACITOR)
+        n_vsrc = len(self._vsources)
+
+        def slot(net: str) -> int:
+            idx = self._idx(net)
+            return ground if idx is None else idx
+
+        # Matrix stamps: constant ones carry (value, divide-by-h) and MOS
+        # ones a (source row into the (3·D, N) conductances, ±1) pair.
+        g_flat: list[int] = []
+        const_rows: list[int] = []
+        const_val: list[float] = []
+        const_per_h: list[bool] = []
+        mos_rows: list[int] = []
+        mos_src: list[int] = []
+        mos_sign: list[float] = []
+        # RHS stamps, sourced from rows of concat(ieq, v_source, i0).
+        r_flat: list[int] = []
+        r_src: list[int] = []
+        r_sign: list[float] = []
+
+        def const(a: int, b: int, value: float, per_h: bool = False) -> None:
+            const_rows.append(len(g_flat))
+            g_flat.append(a * n + b)
+            const_val.append(value)
+            const_per_h.append(per_h)
+
+        def conductance(a: int | None, b: int | None, value: float, per_h: bool = False) -> None:
+            if a is not None:
+                const(a, a, value, per_h)
+            if b is not None:
+                const(b, b, value, per_h)
+            if a is not None and b is not None:
+                const(a, b, -value, per_h)
+                const(b, a, -value, per_h)
+
+        def current(into: int | None, out_of: int | None, source: int) -> None:
+            if into is not None:
+                r_flat.append(into)
+                r_src.append(source)
+                r_sign.append(1.0)
+            if out_of is not None:
+                r_flat.append(out_of)
+                r_src.append(source)
+                r_sign.append(-1.0)
+
+        for i in range(self._n_nodes):
+            const(i, i, self.gmin)
+
+        caps: list[tuple[int, int, float]] = []
+        mos_terms: list[tuple[int, int, int]] = []
+        mos_wl: list[float] = []
+        mos_models: list[tuple[float, Any, Any, Any]] = []
+        branch = self._n_nodes
+        for dev in self.circuit:
+            if dev.dtype is DeviceType.RESISTOR:
+                a, b = self._idx(dev.nets["p"]), self._idx(dev.nets["n"])
+                conductance(a, b, 1.0 / dev.params["r"])
+
+            elif dev.dtype is DeviceType.CAPACITOR:
+                a, b = self._idx(dev.nets["p"]), self._idx(dev.nets["n"])
+                conductance(a, b, dev.params["c"], per_h=True)
+                current(a, b, len(caps))
+                caps.append((slot(dev.nets["p"]), slot(dev.nets["n"]), dev.params["c"]))
+
+            elif dev.dtype is DeviceType.VSOURCE:
+                a, b = self._idx(dev.nets["p"]), self._idx(dev.nets["n"])
+                k = branch
+                if a is not None:
+                    const(a, k, 1.0)
+                    const(k, a, 1.0)
+                if b is not None:
+                    const(b, k, -1.0)
+                    const(k, b, -1.0)
+                current(k, None, n_caps + (k - self._n_nodes))
+                branch += 1
+
+            elif dev.dtype.is_mos:
+                m = len(mos_terms)
+                d_i, g_i, s_i = (self._idx(dev.nets[p]) for p in ("d", "g", "s"))
+                for k, node_idx in enumerate((d_i, g_i, s_i)):
+                    if node_idx is None:
+                        continue
+                    for row, sign in ((d_i, 1.0), (s_i, -1.0)):
+                        if row is not None:
+                            mos_rows.append(len(g_flat))
+                            g_flat.append(row * n + node_idx)
+                            mos_src.append(k * n_mos + m)
+                            mos_sign.append(sign)
+                current(s_i, d_i, n_caps + n_vsrc + m)
+                mos_terms.append(tuple(slot(dev.nets[p]) for p in ("d", "g", "s")))
+                mos_wl.append(dev.params["w"] / dev.params["l"])
+                mos_models.append(self._batch_model(dev))
+
+            elif dev.dtype is DeviceType.SWITCH:
+                a, b = self._idx(dev.nets["p"]), self._idx(dev.nets["n"])
+                conductance(a, b, 1.0 / dev.params.get("ron", 1e3))
+
+        batch = self.batch
+        self._g_flat = np.array(g_flat, dtype=np.intp)
+        self._const_rows = np.array(const_rows, dtype=np.intp)
+        self._const_val = np.array(const_val, dtype=float)
+        self._const_per_h = np.array(const_per_h, dtype=bool)
+        self._mos_rows = np.array(mos_rows, dtype=np.intp)
+        self._mos_src = np.array(mos_src, dtype=np.intp)
+        self._mos_stamp_sign = np.array(mos_sign)[:, None]
+        self._const_cache: tuple[float, np.ndarray, np.ndarray] | None = None
+
+        self._r_flat = np.array(r_flat, dtype=np.intp)
+        self._r_src = np.array(r_src, dtype=np.intp)
+        self._r_sign = np.array(r_sign)[:, None]
+        # Flat (instance, entry) bins of the (S, N) stamp values, so one
+        # weighted bincount adds each bin's terms in stamp order.
+        instances = np.arange(batch)[None, :]
+        self._g_scatter = (instances * (n * n) + self._g_flat[:, None]).ravel()
+        self._r_scatter = (instances * n + self._r_flat[:, None]).ravel()
+
+        self._cap_p = np.array([p for p, _n, _c in caps], dtype=np.intp)
+        self._cap_n = np.array([q for _p, q, _c in caps], dtype=np.intp)
+        self._cap_c = np.array([c for _p, _q, c in caps], dtype=float)[:, None]
+
+        self._mos_terms = np.array(mos_terms, dtype=np.intp).reshape(-1, 3).T.copy()
+        self._mos_sign = np.array([m[0] for m in mos_models], dtype=float)[:, None]
+        params = np.empty((3, n_mos, batch))
+        for m, model in enumerate(mos_models):
+            for k in range(3):
+                params[k, m] = model[k + 1]
+        kp, self._mos_vt, self._mos_lam = params
+        wl = np.array(mos_wl, dtype=float)[:, None]
+        self._mos_kp_wl = kp * wl
+        self._mos_half_kp_wl = 0.5 * kp * wl
+
+    def _batch_model(self, dev: Device) -> tuple[float, Any, Any, Any]:
+        """``(channel sign, kp, vt, lam)`` of a MOS device: floats when
+        shared by the batch, ``(N,)`` arrays when per-instance.  Channel
+        cannot vary across a batch (it would change the circuit, not a
+        parameter); the sign is +1 for NMOS, −1 for the PMOS mirror."""
+        entry = self._raw_device_models.get(dev.name)
+        if entry is None:
+            entry = self.nmos if dev.dtype is DeviceType.NMOS else self.pmos
+        if isinstance(entry, MosModel):
+            channel, kp, vt, lam = entry.channel, entry.kp, entry.vt, entry.lam
+        else:
+            models = list(entry)
+            channels = {m.channel for m in models}
+            if len(channels) != 1:
+                raise AnalogError(
+                    f"device {dev.name!r} mixes channels across the batch"
                 )
+            channel = models[0].channel
+            kp = np.array([m.kp for m in models])
+            vt = np.array([m.vt for m in models])
+            lam = np.array([m.lam for m in models])
+        return (1.0 if channel == "nmos" else -1.0), kp, vt, lam
 
     def instance_models(self, i: int) -> dict[str, MosModel]:
         """The ``device_models`` dict reproducing batch instance *i*."""
@@ -512,111 +669,81 @@ class BatchedTransientSolver(TransientSolver):
             gmin=self.gmin, max_newton=self.max_newton, tol=self.tol,
         )
 
-    # -- batched helpers -----------------------------------------------------
-
     def _v_of_batch(self, x: np.ndarray, net: str) -> np.ndarray:
         net = self.circuit.resolve(net)
         if net in GROUND_NAMES:
             return np.zeros(self.batch)
         return x[:, self._node_index[net]]
 
-    def _stamp_conductance(self, g_mat: np.ndarray, a: int | None, b: int | None, g) -> None:
-        if a is not None:
-            g_mat[:, a, a] += g
-        if b is not None:
-            g_mat[:, b, b] += g
-        if a is not None and b is not None:
-            g_mat[:, a, b] -= g
-            g_mat[:, b, a] -= g
-
-    def _stamp_current(self, rhs: np.ndarray, into: int | None, out_of: int | None, i) -> None:
-        if into is not None:
-            rhs[:, into] += i
-        if out_of is not None:
-            rhs[:, out_of] -= i
-
     # -- batched assembly ----------------------------------------------------
+
+    def _constant_stamps(self, h_s: float) -> tuple[np.ndarray, np.ndarray]:
+        """Matrix stamp values with the constant rows filled (gmin, R,
+        C/h, ±1, switch), plus the capacitors' ``(C, 1)`` C/h; cached
+        per step size."""
+        cached = self._const_cache
+        if cached is None or cached[0] != h_s:
+            const = self._const_val.copy()
+            per_h = self._const_per_h
+            # -(c / h) for the off-diagonal capacitor stamps: the sign is
+            # stored on c and division commutes with negation exactly.
+            const[per_h] = const[per_h] / h_s
+            values = np.empty((self._g_flat.size, self.batch))
+            values[self._const_rows] = const[:, None]
+            cached = (h_s, values, self._cap_c / h_s)
+            self._const_cache = cached
+        return cached[1], cached[2]
 
     def _assemble(
         self, x: np.ndarray, v_prev: np.ndarray, h_s: float, t_ns: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Stacked MNA assembly: ``(N, n, n)`` conductances, ``(N, n)`` RHS.
 
-        Mirrors the scalar ``TransientSolver._assemble`` device walk
-        exactly (same device order, same stamp order) so every matrix
-        entry accumulates its float terms in the scalar order.
+        All MOS devices are evaluated in one vectorized pass, then every
+        stamp is scattered by a weighted ``np.bincount`` in the scalar
+        walk order, so each matrix entry sums the scalar's IEEE terms in
+        the scalar order (see the class docstring).
         """
-        n = self._n_unknowns
-        g_mat = np.zeros((self.batch, n, n))
-        rhs = np.zeros((self.batch, n))
+        n, n_nodes, batch = self._n_unknowns, self._n_nodes, self.batch
+        g_values, geq = self._constant_stamps(h_s)
 
-        for i in range(self._n_nodes):
-            g_mat[:, i, i] += self.gmin
+        # Terminal voltages (3, D, N) in (d, g, s) order; the ground slot
+        # reads 0.0 like the scalar ``_v_of``.
+        volts = np.zeros((n_nodes + 1, batch))
+        volts[:n_nodes] = x[:, :n_nodes].T
+        terms = volts[self._mos_terms]
+        # The base bias and its three FD_STEP perturbations (drain, gate,
+        # source), mirrored into the NMOS frame for PMOS: s·f(s·v).
+        probe = np.repeat(terms[:, None], 4, axis=1)
+        for k in range(3):
+            probe[k, k + 1] += FD_STEP
+        vd, vg, vs = probe * self._mos_sign
+        current = self._mos_sign * nmos_current_vec(
+            self._mos_kp_wl, self._mos_half_kp_wl, self._mos_vt, self._mos_lam,
+            vg, vd, vs,
+        )
+        ids = current[0]
+        cond = (current[1:] - ids) / FD_STEP  # gdd, gdg, gds
+        i0 = ids - cond[0] * terms[0] - cond[1] * terms[1] - cond[2] * terms[2]
 
-        branch = self._n_nodes
-        for dev in self.circuit:
-            if dev.dtype is DeviceType.RESISTOR:
-                a, b = self._idx(dev.nets["p"]), self._idx(dev.nets["n"])
-                self._stamp_conductance(g_mat, a, b, 1.0 / dev.params["r"])
+        g_values[self._mos_rows] = (
+            cond.reshape(-1, batch)[self._mos_src] * self._mos_stamp_sign
+        )
+        g_mat = np.bincount(
+            self._g_scatter, weights=g_values.ravel(), minlength=batch * n * n
+        )
 
-            elif dev.dtype is DeviceType.CAPACITOR:
-                a, b = self._idx(dev.nets["p"]), self._idx(dev.nets["n"])
-                c = dev.params["c"]
-                geq = c / h_s
-                self._stamp_conductance(g_mat, a, b, geq)
-                vp_prev = v_prev[:, a] if a is not None else 0.0
-                vn_prev = v_prev[:, b] if b is not None else 0.0
-                ieq = geq * (vp_prev - vn_prev)
-                self._stamp_current(rhs, a, b, ieq)
-
-            elif dev.dtype is DeviceType.VSOURCE:
-                a, b = self._idx(dev.nets["p"]), self._idx(dev.nets["n"])
-                wave = self.stimuli.get(dev.name)
-                v_val = wave.value(t_ns) if wave is not None else dev.params.get("v", 0.0)
-                k = branch
-                if a is not None:
-                    g_mat[:, a, k] += 1.0
-                    g_mat[:, k, a] += 1.0
-                if b is not None:
-                    g_mat[:, b, k] -= 1.0
-                    g_mat[:, k, b] -= 1.0
-                rhs[:, k] += v_val
-                branch += 1
-
-            elif dev.dtype.is_mos:
-                channel, kp, vt, lam = self._mos_params[dev.name]
-                wl = dev.params["w"] / dev.params["l"]
-                d_i, g_i, s_i = (
-                    self._idx(dev.nets["d"]),
-                    self._idx(dev.nets["g"]),
-                    self._idx(dev.nets["s"]),
-                )
-                vd = self._v_of_batch(x, dev.nets["d"])
-                vg = self._v_of_batch(x, dev.nets["g"])
-                vs = self._v_of_batch(x, dev.nets["s"])
-                ids = mos_current_vec(channel, kp, vt, lam, wl, vg, vd, vs)
-                gdd = (mos_current_vec(channel, kp, vt, lam, wl, vg, vd + FD_STEP, vs)
-                       - ids) / FD_STEP
-                gdg = (mos_current_vec(channel, kp, vt, lam, wl, vg + FD_STEP, vd, vs)
-                       - ids) / FD_STEP
-                gds_ = (mos_current_vec(channel, kp, vt, lam, wl, vg, vd, vs + FD_STEP)
-                        - ids) / FD_STEP
-                i0 = ids - gdd * vd - gdg * vg - gds_ * vs
-                for node_idx, gval in ((d_i, gdd), (g_i, gdg), (s_i, gds_)):
-                    if node_idx is None:
-                        continue
-                    if d_i is not None:
-                        g_mat[:, d_i, node_idx] += gval
-                    if s_i is not None:
-                        g_mat[:, s_i, node_idx] -= gval
-                self._stamp_current(rhs, s_i, d_i, i0)
-
-            elif dev.dtype is DeviceType.SWITCH:
-                a, b = self._idx(dev.nets["p"]), self._idx(dev.nets["n"])
-                ron = dev.params.get("ron", 1e3)
-                self._stamp_conductance(g_mat, a, b, 1.0 / ron)
-
-        return g_mat, rhs
+        prev = np.zeros((n_nodes + 1, batch))
+        prev[:n_nodes] = v_prev.T
+        ieq = geq * (prev[self._cap_p] - prev[self._cap_n])
+        v_src = np.empty((len(self._vsources), batch))
+        for k, dev in enumerate(self._vsources):
+            wave = self.stimuli.get(dev.name)
+            v_src[k] = wave.value(t_ns) if wave is not None else dev.params.get("v", 0.0)
+        sources = np.concatenate((ieq, v_src, i0))
+        r_values = sources[self._r_src] * self._r_sign
+        rhs = np.bincount(self._r_scatter, weights=r_values.ravel(), minlength=batch * n)
+        return g_mat.reshape(batch, n, n), rhs.reshape(batch, n)
 
     # -- batched Newton / time stepping --------------------------------------
 

@@ -220,6 +220,13 @@ class CharacterizationSpec:
             raise AnalogError("dt must be positive")
         if any(m < 0 for m in self.offset_scan_mv) or not self.offset_scan_mv:
             raise AnalogError("offset scan must be a non-empty tuple of >= 0 mV levels")
+        scan = self.offset_scan_mv
+        if any(hi <= lo for lo, hi in zip(scan, scan[1:])):
+            # The ladder reports the last level before the first failure,
+            # which is a tolerance only when the levels ascend.
+            raise AnalogError(
+                f"offset scan must be strictly ascending, got {scan}"
+            )
         if self.max_newton < 1:
             raise AnalogError("max_newton must be >= 1")
 

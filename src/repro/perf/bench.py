@@ -521,9 +521,11 @@ ANALOG_REPORT_PATH = "BENCH_analog.json"
 MIN_BATCHED_SPEEDUP = 5.0
 
 _ANALOG_SCALES: dict[str, dict[str, Any]] = {
-    # CI smoke: a handful of trials; the batched path is *slower* here
-    # (numpy per-op overhead dominates at small N), so tiny runs check
-    # only bit-identity, not the speedup floor.
+    # CI smoke: a handful of trials.  The device-vectorized assembly
+    # makes the batched path faster even here (N=8: 0.20 s vs 1.15 s
+    # scalar on a 2-CPU x86-64 box, 1 BLAS thread), but the margin at
+    # small N is not what the floor is about, so tiny runs check only
+    # bit-identity.
     "tiny": {"trials": 8, "yield_trials": 4, "sweep_trials": 3},
     # The recorded scale: the acceptance gate's N=256 batch.
     "default": {"trials": 256, "yield_trials": 12, "sweep_trials": 6},
@@ -664,9 +666,8 @@ def run_analog_benchmarks(scale: str = "default", seed: int = 1234) -> dict[str,
 def analog_gate_failures(data: dict[str, Any]) -> list[str]:
     """The gates a recorded analog perf run must pass (empty = green).
 
-    The speedup floor applies only at the default scale — at tiny N the
-    batched path is legitimately slower (numpy per-op overhead), which is
-    why the recorded number is the N=256 one.
+    The speedup floor applies only at the default scale: the recorded
+    number is the N=256 one, and tiny runs check bit-identity only.
     """
     failures: list[str] = []
     if data["solver"]["outputs_match"] is not True:

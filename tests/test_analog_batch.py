@@ -17,7 +17,8 @@ from repro.analog.devices import (
     mos_current_vec,
 )
 from repro.analog.sense_amp import SenseAmpBench, SenseAmpConfig
-from repro.analog.solver import BatchedTransientSolver
+from repro.analog.solver import BatchedTransientSolver, Waveform
+from repro.circuits.netlist import Circuit, Device, DeviceType
 from repro.circuits.topologies import SaTopology
 from repro.errors import AnalogError, ConvergenceError
 
@@ -95,12 +96,73 @@ class TestRunBatchBitIdentity:
             scalar = bench.run(data=0, vt_mismatch=mismatch)
             assert _outcomes_identical(out, scalar)
 
+    def test_per_instance_data_matches_scalar_runs(self):
+        """A batch mixing stored values gives each instance the scalar
+        run of its own data: only the CELL initial condition differs."""
+        bench = SenseAmpBench(SenseAmpConfig(topology=SaTopology.OCSA))
+        data, mismatches = [1, 0, 1, 0], [0.0, 0.05, 0.05, 0.0]
+        batched = bench.run_batch(data, mismatches)
+        for out, d, mismatch in zip(batched, data, mismatches):
+            assert out.data_written == d
+            assert _outcomes_identical(out, bench.run(data=d, vt_mismatch=mismatch))
+
     def test_run_batch_validates_inputs(self):
         bench = SenseAmpBench()
         with pytest.raises(AnalogError, match="data must be 0 or 1"):
             bench.run_batch(2, [0.0])
+        with pytest.raises(AnalogError, match="data must be 0 or 1"):
+            bench.run_batch([1, 2], [0.0, 0.0])
         with pytest.raises(AnalogError, match="at least one mismatch"):
             bench.run_batch(1, [])
+        with pytest.raises(AnalogError, match="2 data values for 3 mismatches"):
+            bench.run_batch([0, 1], [0.0, 0.0, 0.0])
+
+
+def _every_stamp_path_circuit() -> Circuit:
+    """A circuit reaching every stamp path of the assembly, which the SA
+    benches (no resistor, no switch, grounded sources only) never do."""
+    c = Circuit("stamp_paths")
+    c.add_vsource("vdd", "VDD", "0", 1.1)
+    c.add_vsource("vfloat", "A", "B", 0.3)  # both terminals off ground
+    c.add_resistor("r1", "VDD", "A", 12e3)
+    c.add(Device("sw", DeviceType.SWITCH, {"p": "B", "n": "OUT"}, {"ron": 2e3}))
+    c.add_capacitor("cout", "OUT", "0", 5e-15)
+    c.add_capacitor("cab", "A", "B", 2e-15)
+    c.add_mos("mn", "nmos", d="OUT", g="A", s="0", w=120.0, l=45.0)
+    c.add_mos("mp", "pmos", d="OUT", g="B", s="VDD", w=90.0, l=45.0)
+    c.add_mos("mgate", "nmos", d="A", g="0", s="B", w=60.0, l=45.0)
+    c.add_mos("mdrain", "pmos", d="0", g="OUT", s="B", w=60.0, l=45.0)
+    return c
+
+
+class TestAssemblyBitIdentity:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_assemble_matches_reference_solver_bitwise(self, n):
+        """Every stamp path: G and RHS of each instance equal the scalar
+        assembly bit for bit, at random states, steps and times."""
+        rng = np.random.default_rng(n)
+        models = {
+            "mn": [NMOS_DEFAULT.with_vt_shift(float(v)) for v in rng.normal(0, 0.05, n)],
+            "mp": [PMOS_DEFAULT.with_vt_shift(float(v)) for v in rng.normal(0, 0.05, n)],
+            "mdrain": MosModel("pmos", 90e-6, 0.4, lam=0.05),
+        }
+        solver = BatchedTransientSolver(
+            _every_stamp_path_circuit(),
+            {"vfloat": Waveform(((0.2, 0.0), (0.5, 0.7), (1.5, -0.2)))},
+            device_models=models,
+            batch=n,
+        )
+        references = [solver.reference_solver(i) for i in range(n)]
+        for _ in range(6):
+            x = rng.uniform(-0.6, 2.6, size=(n, solver._n_unknowns))
+            v_prev = rng.uniform(-0.6, 2.6, size=(n, solver._n_nodes))
+            h_s = float(rng.choice([5e-11, 1e-10]))
+            t_ns = float(rng.uniform(0.0, 2.0))
+            g_mat, rhs = solver._assemble(x, v_prev, h_s, t_ns)
+            for i, reference in enumerate(references):
+                g_ref, rhs_ref = reference._assemble(x[i], v_prev[i], h_s, t_ns)
+                assert np.array_equal(g_mat[i], g_ref)
+                assert np.array_equal(rhs[i], rhs_ref)
 
 
 class TestBatchedSolverConstruction:

@@ -3,14 +3,21 @@
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.analog.characterizer import (
     CellResult,
     CharacterizationJob,
     CharacterizationReport,
+    _nominal_layout,
     characterize,
     sweep_cells,
+)
+from repro.analog.metrics import (
+    restore_latency_ns,
+    sensing_latency_ns,
+    switched_energy_fj,
 )
 from repro.analog.montecarlo import (
     YieldResult,
@@ -19,7 +26,7 @@ from repro.analog.montecarlo import (
 )
 from repro.analog.spec import CORNERS, CharacterizationSpec, DeviceCorner
 from repro.circuits.topologies import SaTopology
-from repro.errors import AnalogError, CampaignError
+from repro.errors import AnalogError, CampaignError, ConvergenceError
 from repro.runtime.hashing import stable_hash
 
 #: A spec small enough for real end-to-end runs in tests: 2 cells,
@@ -54,6 +61,9 @@ class TestCharacterizationSpec:
         ({"bitline_caps_f": ()}, "positive"),
         ({"offset_scan_mv": ()}, "non-empty"),
         ({"corners": (DeviceCorner("A"), DeviceCorner("A"))}, "duplicate"),
+        ({"offset_scan_mv": (50.0, 25.0, 0.0)}, "strictly ascending"),
+        ({"offset_scan_mv": (0.0, 400.0, 25.0)}, "strictly ascending"),
+        ({"offset_scan_mv": (0.0, 25.0, 25.0)}, "strictly ascending"),
     ])
     def test_validation(self, changes, message):
         with pytest.raises(AnalogError, match=message):
@@ -242,3 +252,68 @@ class TestQuarantine:
         campaign = run_campaign([job], workers=1)
         assert cell.name in campaign.quarantined
         assert "imaging acquisition" in campaign.quarantined[cell.name].message
+
+
+class TestMergedNominal:
+    """char_nominal runs the nominal activation and both offset ladders
+    as one batch; it must answer exactly what three batches did."""
+
+    SPEC = FAST_SPEC.replaced(topologies=("classic",), trials=2)
+
+    def _bench(self):
+        cell = sweep_cells(self.SPEC)[0]
+        job = CharacterizationJob(name=cell.name, cell=cell, spec=self.SPEC)
+        return job._bench()
+
+    def test_layout_is_nominal_then_both_ladders(self):
+        layout = _nominal_layout(self.SPEC)
+        assert layout[0] == (self.SPEC.data, 0.0, "nominal")
+        assert [(d, v) for d, v, _ in layout[1:]] == [
+            (0, 0.0), (0, 0.1), (0, 0.2), (1, 0.0), (1, 0.1), (1, 0.2),
+        ]
+        assert layout[-1][2] == "data-1 rung at 200 mV"
+
+    def test_char_nominal_matches_separate_batches_and_scalar_runs(self):
+        spec, bench = self.SPEC, self._bench()
+        kwargs = {"dt_ns": spec.dt_ns, "max_newton": spec.max_newton}
+        nominal = bench.run_batch(spec.data, [0.0], **kwargs)[0]
+        scan = [mv / 1000.0 for mv in spec.offset_scan_mv]
+        tolerance = math.inf
+        for data in (0, 1):
+            ladder = bench.run_batch(data, scan, **kwargs)
+            for level_v, step in zip(scan, ladder):
+                scalar = bench.run(data=data, vt_mismatch=level_v, dt_ns=spec.dt_ns)
+                assert step.data_sensed == scalar.data_sensed
+                assert np.array_equal(step.result.voltages["BL"],
+                                      scalar.result.voltages["BL"])
+            passing = 0.0
+            for level_v, step in zip(scan, ladder):
+                if not step.correct:
+                    break
+                passing = level_v
+            tolerance = min(tolerance, passing)
+
+        cell = characterize(spec, workers=1).cells["classic-TT"]
+        assert cell.sensing_latency_ns == sensing_latency_ns(nominal)
+        assert cell.restore_latency_ns == restore_latency_ns(nominal)
+        assert cell.switched_energy_fj == switched_energy_fj(nominal)
+        assert cell.offset_tolerance_v == tolerance
+
+    def test_quarantine_names_the_failed_runs(self):
+        """A starved Newton loop quarantines the cell with a message that
+        maps ConvergenceError.instances back through the merged layout."""
+        spec = self.SPEC.replaced(max_newton=1)
+        layout = _nominal_layout(spec)
+        with pytest.raises(ConvergenceError) as excinfo:
+            self._bench().run_batch(
+                [d for d, _, _ in layout], [v for _, v, _ in layout],
+                dt_ns=spec.dt_ns, max_newton=1,
+            )
+        expected = [layout[i][2] for i in excinfo.value.instances]
+        assert expected
+
+        report = characterize(spec, workers=1)
+        record = report.quarantined["classic-TT"]
+        assert record.stage == "char_nominal"
+        assert record.details["failed_runs"] == expected
+        assert f"failed runs: {', '.join(expected)}" in record.message
