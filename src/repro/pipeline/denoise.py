@@ -19,19 +19,26 @@ engineering needs (wire boundaries survive).
 Performance note
 ----------------
 The solvers iterate dozens of times per slice over a handful of
-same-shaped float64 fields; the naive formulation allocated ~8 fresh
-arrays *per iteration* and built the Gauss–Seidel neighbour sum from four
-``np.roll`` copies.  The implementations below lease every working array
-once per call from a thread-local buffer pool (:func:`_lease` /
-:func:`_release`), update in place with ``out=``-based ufuncs, and fill
-the neighbour sum by slice assignment; the Chambolle sweep is additionally
-row-blocked (:func:`_block_rows`) so its per-element intermediates stay
-cache-resident rather than streaming full-size arrays through every
-ufunc.  Every floating-point operation is
-kept in the original order, so the outputs are bit-identical to the seed
-implementations — which are retained as :func:`_reference_chambolle_tv`
-and :func:`_reference_split_bregman_tv` for the equality tests and the
-perf harness (:mod:`repro.perf`).  The opt-in ``tol=`` knob adds an early
+same-shaped fields; the naive formulation allocated ~8 fresh arrays *per
+iteration* and built the Gauss–Seidel neighbour sum from four ``np.roll``
+copies.  The implementations below lease every working array once per
+call from a thread-local buffer pool (:func:`_lease` / :func:`_release`),
+update in place with ``out=``-based ufuncs, and fill the neighbour sum by
+slice assignment; the Chambolle sweep is additionally row-blocked
+(:func:`_block_rows`) so its per-element intermediates stay cache-resident
+rather than streaming full-size arrays through every ufunc.
+
+They compute at the input's precision: a float32 slice (what
+:func:`repro.imaging.fib.acquire_stack` yields) is denoised with float32
+scratch and float32 arithmetic, which halves the bytes every ufunc pass
+moves; any other input computes in float64.  Every floating-point
+operation is kept in the original order, so the outputs are bit-identical
+to the seed implementations run at the same precision — retained as
+:func:`_reference_chambolle_tv` and :func:`_reference_split_bregman_tv`
+for the equality tests and the perf harness (:mod:`repro.perf`).  Against
+the float64 reference, float32 Chambolle output differs by at most 5.2e-6
+on acquired one-pair stacks at 60 iterations (the tests assert 1e-5), far
+below the detector's noise.  The opt-in ``tol=`` knob adds an early
 convergence exit; the default ``tol=None`` preserves the exact iteration
 count.
 """
@@ -78,32 +85,78 @@ def _divergence(px: np.ndarray, py: np.ndarray) -> np.ndarray:
 # slices at once.
 
 _POOL = threading.local()
-_POOL_MAX_PER_KEY = 32  #: free buffers kept per (shape, dtype); excess is dropped
+#: pooled bytes kept per thread; least-recently-used (shape, dtype) keys go first
+_POOL_MAX_BYTES = 64 << 20
 
 
-def _lease(shape: tuple[int, ...], n: int) -> list[np.ndarray]:
-    """Take *n* float64 scratch arrays of *shape* from this thread's pool."""
+def _free_lists() -> dict:
+    """This thread's free lists, oldest-used key first."""
     free = getattr(_POOL, "free", None)
     if free is None:
         free = _POOL.free = {}
-    stack = free.setdefault(shape, [])
-    return [stack.pop() if stack else np.empty(shape, np.float64) for _ in range(n)]
+        _POOL.nbytes = 0
+    return free
+
+
+def _lease(shape: tuple[int, ...], n: int, dtype: np.dtype) -> list[np.ndarray]:
+    """Take *n* scratch arrays of *shape* and *dtype* from this thread's pool.
+
+    The solvers lease in :func:`_work_dtype` of their input, and the pool
+    is keyed by ``(shape, dtype)``: a float32 call never gets a float64
+    buffer, so its ``out=`` ufuncs run at the slice's own precision.  The
+    matching oracle is the reference solver on the same input (bit for
+    bit); the float64 reference bounds the float32 error (module note).
+    """
+    free = _free_lists()
+    key = (shape, np.dtype(dtype))
+    stack = free.pop(key, [])
+    free[key] = stack  # re-inserted: now the most recently used key
+    out = []
+    for _ in range(n):
+        if stack:
+            out.append(stack.pop())
+            _POOL.nbytes -= out[-1].nbytes
+        else:
+            out.append(np.empty(shape, dtype))
+    return out
 
 
 def _release(buffers: list[np.ndarray]) -> None:
-    """Return leased arrays to this thread's pool (contents left dirty)."""
-    free = getattr(_POOL, "free", None)
-    if free is None:
-        free = _POOL.free = {}
+    """Return leased arrays to this thread's pool (contents left dirty).
+
+    Long-lived workers see a new slice shape per chip, so the pool holds
+    at most :data:`_POOL_MAX_BYTES`: past it, whole least-recently-used
+    keys are dropped.
+    """
+    free = _free_lists()
     for buf in buffers:
-        stack = free.setdefault(buf.shape, [])
-        if len(stack) < _POOL_MAX_PER_KEY:
-            stack.append(buf)
+        key = (buf.shape, buf.dtype)
+        stack = free.pop(key, [])
+        stack.append(buf)
+        free[key] = stack
+        _POOL.nbytes += buf.nbytes
+    while _POOL.nbytes > _POOL_MAX_BYTES:
+        oldest = free.pop(next(iter(free)))
+        _POOL.nbytes -= sum(buf.nbytes for buf in oldest)
 
 
 def clear_buffer_pool() -> None:
     """Drop this thread's pooled scratch arrays (frees the memory)."""
     _POOL.free = {}
+    _POOL.nbytes = 0
+
+
+def _work_dtype(image: np.ndarray) -> np.dtype:
+    """The solvers' arithmetic dtype: float32 stays float32, else float64."""
+    return np.dtype(np.float32 if image.dtype == np.float32 else np.float64)
+
+
+def _check_image(image: np.ndarray, name: str) -> None:
+    """Reject what the finite-difference stencils cannot index."""
+    if image.ndim != 2:
+        raise PipelineError(f"{name} expects a 2-D image")
+    if min(image.shape) < 2:
+        raise PipelineError(f"{name} needs at least 2x2 pixels, got {image.shape}")
 
 
 def _gradient_into(u: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> None:
@@ -133,9 +186,9 @@ def _divergence_into(
     out[:, -1] -= py[:, -2]
 
 
-def _block_rows(nx: int, nz: int) -> int:
-    """Row-block height whose float64 scratch stays L2-resident (~96 KB)."""
-    return max(16, min(nx, 98304 // max(nz * 8, 1)))
+def _block_rows(nx: int, nz: int, itemsize: int) -> int:
+    """Row-block height whose scratch rows stay L2-resident (~96 KB)."""
+    return max(16, min(nx, 98304 // max(nz * itemsize, 1)))
 
 
 def chambolle_tv(
@@ -152,7 +205,8 @@ def chambolle_tv(
     stops once the largest per-pixel change of the dual field drops below
     it (an opt-in speedup — the default ``None`` runs exactly
     ``iterations`` sweeps and is bit-identical to the reference
-    implementation).
+    implementation).  A float32 image is denoised in float32, any other
+    in float64; the result has the input's dtype.
 
     Each sweep runs in two row-blocked phases (divergence + fidelity, then
     gradient/norm/dual update) so the per-block scratch stays cache-resident
@@ -161,14 +215,14 @@ def chambolle_tv(
     block boundaries only change *which ufunc call* computes an element,
     not its value.
     """
-    if image.ndim != 2:
-        raise PipelineError("chambolle_tv expects a 2-D image")
+    _check_image(image, "chambolle_tv")
     shape = image.shape
     nx, nz = shape
-    block = _block_rows(nx, nz)
+    dtype = _work_dtype(image)
+    block = _block_rows(nx, nz, dtype.itemsize)
     bshape = (min(block, nx), nz)
-    full = _lease(shape, 5)
-    blocked = _lease(bshape, 4 if tol is None else 5)
+    full = _lease(shape, 5, dtype)
+    blocked = _lease(bshape, 4 if tol is None else 5, dtype)
     try:
         f, f_over_w, px, py, div = full
         gx, gy, norm, scratch = blocked[:4]
@@ -246,13 +300,15 @@ def _reference_chambolle_tv(
 ) -> np.ndarray:
     """The seed (allocating) Chambolle solver, retained as ground truth.
 
-    The equality tests assert :func:`chambolle_tv` reproduces this bit for
-    bit at default settings; the perf harness reports the pooled-buffer
-    speedup against it.
+    Computes in the same dtype as :func:`chambolle_tv` (float32 for
+    float32 input, else float64).  The equality tests assert the pooled
+    solver reproduces this bit for bit at default settings, for either
+    dtype; called on ``image.astype(np.float64)`` it is the accuracy
+    oracle for the float32 path.  The perf harness reports the
+    pooled-buffer speedup against it.
     """
-    if image.ndim != 2:
-        raise PipelineError("chambolle_tv expects a 2-D image")
-    f = image.astype(np.float64)
+    _check_image(image, "chambolle_tv")
+    f = image.astype(_work_dtype(image))
     px = np.zeros_like(f)
     py = np.zeros_like(f)
     for _ in range(iterations):
@@ -287,17 +343,17 @@ def split_bregman_tv(
     :func:`chambolle_tv`.  With ``tol`` set, the outer loop exits early
     once the largest per-pixel change of ``u`` over one outer iteration
     drops below it; the default ``None`` is bit-identical to the
-    reference implementation.
+    reference implementation.  Like :func:`chambolle_tv`, it computes in
+    float32 for float32 input and in float64 otherwise.
     """
-    if image.ndim != 2:
-        raise PipelineError("split_bregman_tv expects a 2-D image")
+    _check_image(image, "split_bregman_tv")
     shape = image.shape
     mu = bregman_mu if bregman_mu is not None else 1.0 / max(weight, 1e-6)
     lam = mu / 2.0  # splitting weight (λ ∝ μ keeps the subproblems balanced)
     gamma = 1.0 / lam
     denom = mu + 4.0 * lam
 
-    buffers = _lease(shape, 14 if tol is None else 15)
+    buffers = _lease(shape, 14 if tol is None else 15, _work_dtype(image))
     try:
         (f, u, nb, rhs, div, dx, dy, bx, by, gx, gy,
          mag, sign, scratch) = buffers[:14]
@@ -362,12 +418,11 @@ def _reference_split_bregman_tv(
 ) -> np.ndarray:
     """The seed (allocating, ``np.roll``-based) split-Bregman solver.
 
-    Retained as ground truth for the pooled-buffer rewrite — see
-    :func:`_reference_chambolle_tv`.
+    Retained as ground truth for the pooled-buffer rewrite, at the same
+    working dtype — see :func:`_reference_chambolle_tv`.
     """
-    if image.ndim != 2:
-        raise PipelineError("split_bregman_tv expects a 2-D image")
-    f = image.astype(np.float64)
+    _check_image(image, "split_bregman_tv")
+    f = image.astype(_work_dtype(image))
     mu = bregman_mu if bregman_mu is not None else 1.0 / max(weight, 1e-6)
     lam = mu / 2.0
 

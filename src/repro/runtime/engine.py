@@ -70,13 +70,15 @@ logger = get_logger("repro.runtime.engine")
 #: (see :mod:`repro.runtime.hashing`) so entries written under the old,
 #: collision-prone key scheme miss cleanly instead of aliasing; acquire's
 #: bump also covers its counter-based per-slice RNG rework
-#: (:mod:`repro.imaging.fib`), which changes the acquired bits.
+#: (:mod:`repro.imaging.fib`), which changes the acquired bits.  denoise
+#: 2 → 3: float32 slices are denoised in float32 (:mod:`repro.pipeline.denoise`),
+#: which moves output bits by an ulp or so, so float64-era entries must miss.
 STAGE_VERSIONS: dict[str, str] = {
     "layout": "2",
     "voxelize": "2",
     "roi": "2",
     "acquire": "2",
-    "denoise": "2",
+    "denoise": "3",
     "align": "2",
     "assemble": "2",
     "reveng": "2",
