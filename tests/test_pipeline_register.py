@@ -1,14 +1,24 @@
 """Mutual-information slice alignment (§IV-C)."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AlignmentBudgetExceeded, PipelineError
+from repro.obs import Tracer, use_tracer
+from repro.pipeline import register
 from repro.pipeline.register import (
     AlignmentReport,
+    _grid_counts,
+    _mi_from_counts,
+    _prepare,
+    _quantise,
     _reference_align_pair,
     _reference_align_stack,
+    _score_grid,
     _shifted_overlap,
     align_pair,
     align_stack,
@@ -175,6 +185,128 @@ class TestBincountEqualsBruteForce:
             align_stack([img, img], search_strategy="simulated_annealing")
 
 
+
+def _spilled_pair(seed, nx, nz, dtype):
+    """Two blocky slices with noise wide enough to put pixels outside [0, 1]."""
+    rng = np.random.default_rng(seed)
+    base = np.kron(rng.random((-(-nx // 3), -(-nz // 3))), np.ones((3, 3)))[:nx, :nz]
+    a = base + rng.normal(0, 0.2, (nx, nz))
+    b = np.roll(base, (1, -1), (0, 1)) + rng.normal(0, 0.2, (nx, nz))
+    return a.astype(dtype), b.astype(dtype)
+
+
+def _pyramid_pick(scores, search_px):
+    """The pyramid's lattice-then-refine rule over reference scores."""
+    def pick(candidates, best, best_score):
+        for c in candidates:
+            if scores[c] > best_score:
+                best, best_score = c, scores[c]
+        return best, best_score
+
+    lattice = sorted(set(range(-search_px, search_px + 1, 2)) | {0})
+    coarse = [(dx, dz) for dx in lattice for dz in lattice]
+    best, best_score = pick(coarse, (0, 0), -np.inf)
+    refine = [
+        (dx, dz)
+        for dx in range(max(-search_px, best[0] - 1), min(search_px, best[0] + 1) + 1)
+        for dz in range(max(-search_px, best[1] - 1), min(search_px, best[1] + 1) + 1)
+        if (dx, dz) not in coarse
+    ]
+    return pick(refine, best, best_score)[0]
+
+
+class TestScoreGrid:
+    """The one-pass score grid against per-candidate ``histogram2d``."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        bins=st.sampled_from([2, 32, 255, 256, 1024]),
+        penalty=st.sampled_from([0.0, 0.01, 0.3]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        walk=st.booleans(),
+        data=st.data(),
+    )
+    def test_counts_scores_and_picks_match_histogram2d(
+        self, seed, bins, penalty, dtype, walk, data
+    ):
+        """Shifts up to and past the extent, on both counting paths (the
+        edge walk, and a direct count per candidate); a wide histogram per
+        candidate is costly, so wider bins get smaller slices."""
+        side = {2: 14, 32: 14, 255: 6, 256: 6, 1024: 3}[bins]
+        nx = data.draw(st.integers(1, side), label="nx")
+        nz = data.draw(st.integers(1, side), label="nz")
+        search_px = data.draw(st.integers(0, side + 2), label="search_px")
+        a, b = _spilled_pair(seed, nx, nz, dtype)
+        with mock.patch.object(register, "_WALK_COST", 0 if walk else 10**9):
+            self._check_grid(a, b, search_px, bins, penalty, walk)
+
+    def _check_grid(self, a, b, search_px, bins, penalty, walk):
+        pa, pb = (_prepare(_quantise(img, bins), search_px, bins) for img in (a, b))
+        counted = {}
+        for dxs, dzs, counts, gathered in _grid_counts(pa, pb, bins):
+            assert walk or gathered == 0
+            for dx, dz, c in zip(dxs.tolist(), dzs.tolist(), counts):
+                counted[dx, dz] = c[:bins, :bins]
+        grid, candidates, _ = _score_grid(pa, pb, search_px, bins, penalty)
+        assert candidates == len(counted)
+        span = range(-search_px, search_px + 1)
+        reference = {}
+        empty = np.zeros((bins, bins))  # histogram2d of an empty overlap
+        for dx in span:
+            for dz in span:
+                ca, cb = _shifted_overlap(a, b, dx, dz)
+                hist = empty if ca.size == 0 else np.histogram2d(
+                    ca.ravel(), cb.ravel(), bins=bins, range=((0, 1), (0, 1))
+                )[0]
+                kept = counted.get((dx, dz), np.zeros((bins, bins), np.intp))
+                assert np.array_equal(kept, hist), (dx, dz)
+                reference[dx, dz] = _mi_from_counts(hist) - penalty * (abs(dx) + abs(dz))
+                score = grid[dx + search_px, dz + search_px]
+                assert np.float64(score).tobytes() == np.float64(reference[dx, dz]).tobytes()
+        exhaustive = [(dx, dz) for dx in span for dz in span]
+        best = max(exhaustive, key=lambda c: reference[c])  # the first maximum
+        if reference[best] == -np.inf:
+            best = (0, 0)
+        kwargs = {"search_px": search_px, "bins": bins, "shift_penalty": penalty}
+        assert align_pair(a, b, **kwargs) == best
+        assert align_pair(a, b, search_strategy="pyramid", **kwargs) == _pyramid_pick(
+            reference, search_px
+        )
+
+    def test_walk_on_piecewise_constant_direct_on_noise(self):
+        """The edge walk counts denoised-like slices; noise-dominated ones,
+        where nearly every pixel is an edge, are counted directly."""
+        rng = np.random.default_rng(5)
+        blocky = np.kron(rng.random((8, 6)), np.ones((8, 8)))
+        noise = rng.random((64, 48))
+        for img, walks in ((blocky, True), (noise, False)):
+            moved = np.roll(img, (1, -2), (0, 1))
+            pa, pb = (_prepare(_quantise(x, 32), 4, 32) for x in (img, moved))
+            _, _, gathered = _score_grid(pa, pb, 4, 32, 0.01)
+            assert (gathered > 0) == walks
+            assert align_pair(img, moved) == _reference_align_pair(img, moved)
+
+    def test_all_out_of_range_overlap_is_unscorable(self):
+        """No kept pixel pair: no candidate scores, nothing warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert align_pair(np.full((20, 10), 2.0), np.full((20, 10), -1.0)) == (0, 0)
+            assert _reference_align_pair(
+                np.full((20, 10), 2.0), np.full((20, 10), -1.0)
+            ) == (0, 0)
+            pa, pb = (_prepare(_quantise(img, 32), 4, 32)
+                      for img in (np.full((20, 10), 2.0), np.full((20, 10), -1.0)))
+            grid, _, _ = _score_grid(pa, pb, 4, 32, 0.01)
+            assert (grid == -np.inf).all()
+
+    def test_shapes_must_match(self):
+        with pytest.raises(PipelineError, match="equally-shaped"):
+            align_pair(np.zeros((8, 8)), np.zeros((8, 9)))
+        with pytest.raises(PipelineError, match="equally-shaped"):
+            align_stack([np.zeros((8, 8)), np.zeros((9, 8))])
+
+
 class TestAlignStackPaths:
     def test_thread_workers_match_serial(self):
         images = _noisy_stack(4, [(i % 2, -(i % 3)) for i in range(7)])
@@ -183,6 +315,23 @@ class TestAlignStackPaths:
         assert threaded[1].corrections == serial[1].corrections
         for a, b in zip(threaded[0], serial[0]):
             np.testing.assert_array_equal(a, b)
+
+    def test_kernel_span_records_exact_work(self):
+        """pairs, candidates and gathered edge entries are exact counts,
+        the same on the serial and the threaded path."""
+        images = [apply_shift(_texture(seed=3), i % 2, -(i % 3)) for i in range(6)]
+        recorded = []
+        for workers in (1, 3):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                align_stack(images, search_px=2, baselines=(1, 2), workers=workers)
+            (span,) = [s for s in tracer.finished_spans() if s.name == "align_stack"]
+            recorded.append({k: span.attrs[k] for k in ("pairs", "candidates", "edges")})
+        assert recorded[0] == recorded[1]
+        assert all(type(v) is int for v in recorded[0].values())  # JSON-serialisable
+        assert recorded[0]["pairs"] == 5 + 4
+        assert recorded[0]["candidates"] == 9 * 25
+        assert recorded[0]["edges"] > 0
 
     def test_single_slice_stack(self):
         (out,), report = align_stack([_texture()])

@@ -372,6 +372,23 @@ class TestShardedAlign:
         assert shard_spans and all(s.attrs["stage"] == "align" for s in shard_spans)
         assert pickle.dumps(sharded) == pickle.dumps(align_stack(images, search_px=2))
 
+    def test_kernel_span_work_counts_match_serial(self):
+        """Candidates and edge entries counted in the workers come back
+        exact: the sharded span records what the serial one does."""
+        rng = np.random.default_rng(3)
+        base = np.kron(rng.random((6, 5)), np.ones((8, 8)))  # few edges: the walk runs
+        images = [np.roll(base, (i % 2, -(i % 3)), (0, 1)) for i in range(6)]
+        recorded = []
+        for shard in (None, _plan(batch=2, ordering="striped")):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                align_stack(images, search_px=2, shard=shard)
+            (span,) = [s for s in tracer.finished_spans() if s.name == "align_stack"]
+            recorded.append({k: span.attrs[k] for k in ("pairs", "candidates", "edges")})
+        assert recorded[0] == recorded[1]
+        assert recorded[0]["candidates"] == recorded[0]["pairs"] * 25
+        assert recorded[0]["edges"] > 0
+
     def test_bins_past_uint8_fall_back_in_process(self):
         images = _align_stack_images(2, 5, 0.0)
         reg = MetricsRegistry()
