@@ -28,6 +28,19 @@ slice assignment; the Chambolle sweep is additionally row-blocked
 (:func:`_block_rows`) so its per-element intermediates stay cache-resident
 rather than streaming full-size arrays through every ufunc.
 
+A slice is narrow along z (axis 1: 64 px against ~1,300 rows), so a
+difference along z written ``a[:, 1:] - a[:, :-1]`` runs as one short
+inner loop per row — ~6x the cost of the same elements as one flat,
+contiguous pass.  Every z difference therefore goes through
+:func:`_diff_z`, which subtracts flat neighbours over whole C-contiguous
+rows; the few pairs that straddle a row break land exactly in the
+stencil's boundary column, which is then written explicitly as before.
+The flat pass is bit-identical because each in-row element still gets the
+very same scalar subtraction — only *which ufunc call* computes it
+changes.  The split-Bregman neighbour sum does the same with its two z
+additions, summing each wrapped boundary column aside in its original
+order and writing it back over the cross-row entries.
+
 They compute at the input's precision: a float32 slice (what
 :func:`repro.imaging.fib.acquire_stack` yields) is denoised with float32
 scratch and float32 arithmetic, which halves the bytes every ufunc pass
@@ -45,6 +58,7 @@ count.
 
 from __future__ import annotations
 
+import inspect
 import threading
 from typing import TYPE_CHECKING
 
@@ -159,11 +173,28 @@ def _check_image(image: np.ndarray, name: str) -> None:
         raise PipelineError(f"{name} needs at least 2x2 pixels, got {image.shape}")
 
 
+def _diff_z(a: np.ndarray, out: np.ndarray, forward: bool) -> None:
+    """Differences along z (axis 1) of C-contiguous rows, as one flat pass.
+
+    Computes ``a[i, j + 1] - a[i, j]`` for every flat neighbour pair and
+    writes it to ``out[i, j]`` (``forward``, the gradient stencil) or to
+    ``out[i, j + 1]`` (backward, the divergence stencil).  Each in-row
+    element gets exactly the scalar operation of the narrow
+    ``a[:, 1:] - a[:, :-1]`` form; the pairs that straddle a row break
+    land in column −1 (forward) or column 0 (backward), which the caller
+    overwrites with the stencil's boundary value, as the reference does.
+    *a* and *out* must be C-contiguous and of one shape, so that
+    ``reshape(-1)`` is a view.
+    """
+    af, of = a.reshape(-1), out.reshape(-1)
+    np.subtract(af[1:], af[:-1], out=of[:-1] if forward else of[1:])
+
+
 def _gradient_into(u: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> None:
     """:func:`_gradient` into preallocated outputs (same values, no allocs)."""
     np.subtract(u[1:, :], u[:-1, :], out=gx[:-1, :])
     gx[-1, :] = 0.0
-    np.subtract(u[:, 1:], u[:, :-1], out=gy[:, :-1])
+    _diff_z(u, gy, forward=True)
     gy[:, -1] = 0.0
 
 
@@ -174,16 +205,20 @@ def _divergence_into(
 
     Accumulates in the exact order of the allocating version (zero-filled
     buffer, then the same ``+=`` updates) so results match bit for bit.
+    The z term is assembled whole in *scratch* (its boundary columns
+    written as the reference's ``py[:, 0]`` and ``-py[:, -2]``) and added
+    in one flat pass: ``x + (-y)`` is ``x - y`` in IEEE arithmetic, so
+    every element still gets its one addition.
     """
     out.fill(0.0)
     out[0, :] += px[0, :]
     np.subtract(px[1:-1, :], px[:-2, :], out=scratch[1:-1, :])
     out[1:-1, :] += scratch[1:-1, :]
     out[-1, :] -= px[-2, :]
-    out[:, 0] += py[:, 0]
-    np.subtract(py[:, 1:-1], py[:, :-2], out=scratch[:, 1:-1])
-    out[:, 1:-1] += scratch[:, 1:-1]
-    out[:, -1] -= py[:, -2]
+    _diff_z(py, scratch, forward=False)
+    scratch[:, 0] = py[:, 0]
+    scratch[:, -1] = -py[:, -2]
+    out += scratch
 
 
 def _block_rows(nx: int, nz: int, itemsize: int) -> int:
@@ -246,8 +281,8 @@ def chambolle_tv(
                 if r1 == nx:
                     d[-1, :] = -px[-2, :]
                 s = scratch[: r1 - r0]
+                _diff_z(py[r0:r1], s, forward=False)
                 s[:, 0] = py[r0:r1, 0]
-                np.subtract(py[r0:r1, 1:-1], py[r0:r1, :-2], out=s[:, 1:-1])
                 # Plain assignment, not np.negative(..., out=): unary ufuncs
                 # mis-read strided 1-D inputs when writing to a strided out
                 # view on some numpy builds (observed on 2.4.x).
@@ -264,7 +299,7 @@ def chambolle_tv(
                 else:
                     np.subtract(div[r0 + 1 : r1, :], div[r0 : r1 - 1, :], out=g_x[:-1])
                     g_x[-1, :] = 0.0
-                np.subtract(div[r0:r1, 1:], div[r0:r1, :-1], out=g_y[:, :-1])
+                _diff_z(div[r0:r1], g_y, forward=True)
                 g_y[:, -1] = 0.0
                 np.multiply(g_x, g_x, out=nm)
                 np.multiply(g_y, g_y, out=s)
@@ -286,7 +321,11 @@ def chambolle_tv(
                     delta = max(delta, float(prev[:n].max()))
             if tol is not None and delta < tol:
                 break
-        return (f - weight * _divergence(px, py)).astype(image.dtype)
+        # f − λ·div(p), with f_over_w (no longer needed) as the scratch.
+        _divergence_into(px, py, div, f_over_w)
+        div *= weight
+        np.subtract(f, div, out=div)
+        return div.astype(image.dtype)
     finally:
         _release(full)
         _release(blocked)
@@ -358,6 +397,8 @@ def split_bregman_tv(
         (f, u, nb, rhs, div, dx, dy, bx, by, gx, gy,
          mag, sign, scratch) = buffers[:14]
         prev = buffers[14] if tol is not None else None
+        # The wrapped-column sums, in scratch (free during the sweeps).
+        wrap_first, wrap_last = scratch.reshape(-1)[: 2 * shape[0]].reshape(2, -1)
         f[...] = image
         u[...] = f
         for b in (dx, dy, bx, by):
@@ -381,10 +422,17 @@ def split_bregman_tv(
                 nb[0, :] = u[-1, :]
                 nb[:-1, :] += u[1:, :]
                 nb[-1, :] += u[0, :]
-                nb[:, 1:] += u[:, :-1]
-                nb[:, 0] += u[:, -1]
-                nb[:, :-1] += u[:, 1:]
-                nb[:, -1] += u[:, 0]
+                # The z neighbours as flat passes over whole rows.  Each
+                # wrapped column is summed aside in its own order (left
+                # neighbour, then right) and written back over the entry
+                # the flat pass carried across a row break.
+                nbf, uf = nb.reshape(-1), u.reshape(-1)
+                np.add(nb[:, 0], u[:, -1], out=wrap_first)
+                nbf[1:] += uf[:-1]
+                nb[:, 0] = wrap_first
+                np.add(nb[:, -1], u[:, 0], out=wrap_last)
+                nbf[:-1] += uf[1:]
+                nb[:, -1] = wrap_last
                 nb *= lam
                 nb += rhs
                 nb /= denom
@@ -498,11 +546,23 @@ def denoise_stack(
     and every output value — is identical for any worker count, shard
     batch size and ordering.  Extra keywords (``iterations=``, ``tol=``,
     …) pass through to the solver.
+
+    The kernel span records ``iterations``, the solver's ``iterations``
+    requested (its default when not passed: Chambolle sweeps, or
+    split-Bregman outer iterations), and ``pixel_iterations``, their
+    product with the stack's pixels: the exact TV work beside the wall
+    time (an upper bound when an opt-in ``tol=`` exits early).
     """
     fn = _solver_for(method)
+    pixels = sum(int(img.size) for img in images)
+    iterations = kwargs.get(
+        "iterations", inspect.signature(fn).parameters["iterations"].default
+    )
     with kernel_scope(
         "denoise_stack",
-        pixels=sum(int(img.size) for img in images),
+        pixels=pixels,
+        iterations=iterations,
+        pixel_iterations=pixels * iterations,
         method=method,
         slices=len(images),
         workers=workers,

@@ -1,5 +1,7 @@
 """TV denoising: Chambolle and split-Bregman (§IV-C)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,13 @@ class TestDenoisers:
             method(np.zeros(shape))
 
 
+def _assert_bytes_equal(fast: np.ndarray, ref: np.ndarray) -> None:
+    """Bit for bit, sign of zero included (``assert_array_equal`` takes
+    −0.0 == +0.0)."""
+    assert fast.dtype == ref.dtype and fast.shape == ref.shape
+    assert fast.tobytes() == ref.tobytes()
+
+
 class TestPooledBuffersBitIdentical:
     """The in-place, buffer-pooled solvers must reproduce the seed
     implementations bit for bit at default settings."""
@@ -110,9 +119,7 @@ class TestPooledBuffersBitIdentical:
         img = np.clip(rng.random((nx, nz)) + rng.normal(0, 0.1, (nx, nz)), 0, 1)
         if float32:
             img = img.astype(np.float32)
-        fast, ref = chambolle_tv(img), _reference_chambolle_tv(img)
-        assert fast.dtype == ref.dtype
-        np.testing.assert_array_equal(fast, ref)
+        _assert_bytes_equal(chambolle_tv(img), _reference_chambolle_tv(img))
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -126,17 +133,43 @@ class TestPooledBuffersBitIdentical:
         img = np.clip(rng.random((nx, nz)) + rng.normal(0, 0.1, (nx, nz)), 0, 1)
         if float32:
             img = img.astype(np.float32)
-        fast, ref = split_bregman_tv(img), _reference_split_bregman_tv(img)
-        assert fast.dtype == ref.dtype
-        np.testing.assert_array_equal(fast, ref)
+        _assert_bytes_equal(split_bregman_tv(img), _reference_split_bregman_tv(img))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        nx=st.integers(2, 900),
+        nz=st.sampled_from([2, 3, 64]),
+        block=st.sampled_from([None, 1, 5, 16]),
+        float32=st.booleans(),
+    )
+    def test_multi_block_shapes_byte_identical(self, seed, nx, nz, block, float32):
+        """Row blocks, row breaks of the flat z passes, 2- and 3-px-wide
+        slices and exact zeros: every output byte matches the reference.
+        ``block`` overrides the Chambolle row-block height (None keeps the
+        cache-sized one, which splits nz=64 slices past 384/192 rows)."""
+        rng = np.random.default_rng(seed)
+        img = np.clip(rng.random((nx, nz)) + rng.normal(0, 0.3, (nx, nz)) - 0.2, 0, 1)
+        if float32:
+            img = img.astype(np.float32)
+        rows = denoise._block_rows if block is None else (lambda nx, nz, itemsize: block)
+        with mock.patch.object(denoise, "_block_rows", rows):
+            _assert_bytes_equal(
+                chambolle_tv(img, iterations=12),
+                _reference_chambolle_tv(img, iterations=12),
+            )
+        _assert_bytes_equal(
+            split_bregman_tv(img, iterations=4),
+            _reference_split_bregman_tv(img, iterations=4),
+        )
 
     def test_non_default_parameters_also_identical(self):
         _clean, noisy = _piecewise_image()
-        np.testing.assert_array_equal(
+        _assert_bytes_equal(
             chambolle_tv(noisy, weight=0.2, iterations=23, tau=0.19),
             _reference_chambolle_tv(noisy, weight=0.2, iterations=23, tau=0.19),
         )
-        np.testing.assert_array_equal(
+        _assert_bytes_equal(
             split_bregman_tv(noisy, weight=0.15, iterations=9, inner_iterations=3),
             _reference_split_bregman_tv(noisy, weight=0.15, iterations=9, inner_iterations=3),
         )
@@ -276,6 +309,22 @@ class TestStack:
     def test_unknown_method_rejected(self):
         with pytest.raises(PipelineError):
             denoise_stack([np.zeros((4, 4))], method="median")
+
+    @pytest.mark.parametrize(
+        "method, kwargs, iterations",
+        [("chambolle", {}, 60), ("chambolle", {"iterations": 7}, 7),
+         ("split_bregman", {}, 12)],
+    )
+    def test_kernel_span_records_pixel_iterations(self, method, kwargs, iterations):
+        """pixels × iterations on the span is the exact TV work done."""
+        from repro.obs import ObsConfig, ObsSession
+
+        _clean, noisy = _piecewise_image()
+        with ObsSession(ObsConfig(trace=True)) as session:
+            denoise_stack([noisy, noisy], method=method, **kwargs)
+        (span,) = [s for s in session.spans() if s.name == "denoise_stack"]
+        assert span.attrs["iterations"] == iterations
+        assert span.attrs["pixel_iterations"] == 2 * noisy.size * iterations
 
     def test_stronger_weight_smooths_more(self):
         _clean, noisy = _piecewise_image()
