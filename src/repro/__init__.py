@@ -70,82 +70,77 @@ Chip-catalog fuzz campaign (deterministic population, scored)::
     print(report.render())
 """
 
-from repro.analog import (
-    BatchedTransientSolver,
-    CharacterizationReport,
-    CharacterizationSpec,
-    DeviceCorner,
-    characterize,
-)
-from repro.catalog import (
-    CatalogReport,
-    CatalogSpec,
-    ChipVariantSpec,
-    build_region_spec,
-    expand_grid,
-    register_variant,
-    run_catalog_campaign,
-    sample,
-)
-from repro.circuits import (
-    SaTopology,
-    build_classic_sa,
-    build_ocsa,
-    identify_topology,
-)
-from repro.core import (
-    CHIPS,
-    CROW,
-    REM,
-    chip,
-    model_accuracy_report,
-    table2_rows,
-)
-from repro.faults import FaultPlan
-from repro.layout import SaRegionSpec, generate_sa_region
-from repro.obs import ObsConfig
-from repro.pipeline import PipelineConfig, ShardPlan
-from repro.reveng import ReversedChip, reverse_engineer_cell, reverse_engineer_stack
-from repro.runtime import CampaignReport, ChipJob, ResiliencePolicy, run_campaign
+import importlib
+from typing import Any, Callable
 
 __version__ = "1.9.0"
 
-__all__ = [
-    "BatchedTransientSolver",
-    "CatalogReport",
-    "CatalogSpec",
-    "ChipVariantSpec",
-    "build_region_spec",
-    "expand_grid",
-    "register_variant",
-    "run_catalog_campaign",
-    "sample",
-    "CharacterizationReport",
-    "CharacterizationSpec",
-    "DeviceCorner",
-    "characterize",
-    "SaTopology",
-    "build_classic_sa",
-    "build_ocsa",
-    "identify_topology",
-    "CHIPS",
-    "CROW",
-    "REM",
-    "chip",
-    "model_accuracy_report",
-    "table2_rows",
-    "SaRegionSpec",
-    "generate_sa_region",
-    "PipelineConfig",
-    "ShardPlan",
-    "ReversedChip",
-    "reverse_engineer_cell",
-    "reverse_engineer_stack",
-    "CampaignReport",
-    "ChipJob",
-    "run_campaign",
-    "FaultPlan",
-    "ResiliencePolicy",
-    "ObsConfig",
-    "__version__",
-]
+
+def _lazy_exports(
+    package: str, namespace: dict[str, Any], exports: dict[str, str]
+) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a lazy package facade.
+
+    *exports* maps each exported name to the module that defines it
+    (``"module:attribute"`` for a rename).  The first access of a name
+    imports its module and caches the value in *namespace*, the package's
+    globals, so later reads never reach ``__getattr__`` again.
+    """
+
+    def __getattr__(name: str) -> Any:
+        try:
+            module, _, attribute = exports[name].partition(":")
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
+        value = getattr(importlib.import_module(module), attribute or name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
+
+
+#: exported name -> defining module, imported on the first access of the name
+_EXPORTS = {
+    "BatchedTransientSolver": "repro.analog.solver",
+    "CatalogReport": "repro.catalog.campaign",
+    "CatalogSpec": "repro.catalog.grid",
+    "ChipVariantSpec": "repro.catalog.variants",
+    "build_region_spec": "repro.catalog.variants",
+    "expand_grid": "repro.catalog.grid",
+    "register_variant": "repro.catalog.variants",
+    "run_catalog_campaign": "repro.catalog.campaign",
+    "sample": "repro.catalog.grid",
+    "CharacterizationReport": "repro.analog.characterizer",
+    "CharacterizationSpec": "repro.analog.spec",
+    "DeviceCorner": "repro.analog.spec",
+    "characterize": "repro.analog.characterizer",
+    "SaTopology": "repro.circuits.topologies",
+    "build_classic_sa": "repro.circuits.topologies",
+    "build_ocsa": "repro.circuits.topologies",
+    "identify_topology": "repro.circuits.matching",
+    "CHIPS": "repro.core.chips",
+    "CROW": "repro.core.models",
+    "REM": "repro.core.models",
+    "chip": "repro.core.chips",
+    "model_accuracy_report": "repro.core.model_accuracy",
+    "table2_rows": "repro.core.overheads",
+    "SaRegionSpec": "repro.layout.generator",
+    "generate_sa_region": "repro.layout.generator",
+    "PipelineConfig": "repro.pipeline.config",
+    "ShardPlan": "repro.pipeline.config",
+    "ReversedChip": "repro.reveng.workflow",
+    "reverse_engineer_cell": "repro.reveng.workflow",
+    "reverse_engineer_stack": "repro.reveng.workflow",
+    "CampaignReport": "repro.runtime.campaign",
+    "ChipJob": "repro.runtime.campaign",
+    "run_campaign": "repro.runtime.campaign",
+    "FaultPlan": "repro.faults",
+    "ResiliencePolicy": "repro.runtime.engine",
+    "ObsConfig": "repro.obs",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _EXPORTS)

@@ -17,94 +17,50 @@ provides the simulator those arguments need:
   run as campaign jobs on the batched solver.
 """
 
-from repro.analog.devices import MosModel, NMOS_DEFAULT, PMOS_DEFAULT
-from repro.analog.solver import (
-    BatchTransientResult,
-    BatchedTransientSolver,
-    TransientResult,
-    TransientSolver,
-    Waveform,
-)
-from repro.analog.events import (
-    EventTimeline,
-    classic_activation_timeline,
-    ocsa_activation_timeline,
-)
-from repro.analog.metrics import (
-    activation_comparison,
-    restore_latency_ns,
-    sensing_latency_ns,
-    switched_energy_fj,
-)
-from repro.analog.bitline_parasitics import (
-    BitlineGeometry,
-    crosstalk_ratio,
-    settling_time_ns,
-    shrink_report,
-)
-from repro.analog.montecarlo import (
-    YieldResult,
-    model_optimism,
-    sensing_yield,
-    yield_curve,
-)
-from repro.analog.sense_amp import (
-    SenseAmpBench,
-    SenseAmpConfig,
-    ActivationOutcome,
-    simulate_activation,
-    offset_tolerance,
-    worst_case_offset_tolerance,
-    charge_sharing_onset,
-)
-from repro.analog.spec import CORNERS, CharacterizationSpec, DeviceCorner
-from repro.analog.characterizer import (
-    CellResult,
-    CharacterizationJob,
-    CharacterizationReport,
-    SweepCell,
-    characterize,
-    sweep_cells,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BatchTransientResult",
-    "BatchedTransientSolver",
-    "CORNERS",
-    "CharacterizationSpec",
-    "DeviceCorner",
-    "CellResult",
-    "CharacterizationJob",
-    "CharacterizationReport",
-    "SweepCell",
-    "characterize",
-    "sweep_cells",
-    "MosModel",
-    "NMOS_DEFAULT",
-    "PMOS_DEFAULT",
-    "TransientResult",
-    "TransientSolver",
-    "Waveform",
-    "EventTimeline",
-    "classic_activation_timeline",
-    "ocsa_activation_timeline",
-    "SenseAmpBench",
-    "SenseAmpConfig",
-    "ActivationOutcome",
-    "simulate_activation",
-    "offset_tolerance",
-    "worst_case_offset_tolerance",
-    "charge_sharing_onset",
-    "activation_comparison",
-    "restore_latency_ns",
-    "sensing_latency_ns",
-    "switched_energy_fj",
-    "YieldResult",
-    "model_optimism",
-    "sensing_yield",
-    "yield_curve",
-    "BitlineGeometry",
-    "crosstalk_ratio",
-    "settling_time_ns",
-    "shrink_report",
-]
+#: exported name -> defining module, imported on the first access of the name
+_EXPORTS = {
+    "BatchTransientResult": "repro.analog.solver",
+    "BatchedTransientSolver": "repro.analog.solver",
+    "CORNERS": "repro.analog.spec",
+    "CharacterizationSpec": "repro.analog.spec",
+    "DeviceCorner": "repro.analog.spec",
+    "CellResult": "repro.analog.characterizer",
+    "CharacterizationJob": "repro.analog.characterizer",
+    "CharacterizationReport": "repro.analog.characterizer",
+    "SweepCell": "repro.analog.characterizer",
+    "characterize": "repro.analog.characterizer",
+    "sweep_cells": "repro.analog.characterizer",
+    "MosModel": "repro.analog.devices",
+    "NMOS_DEFAULT": "repro.analog.devices",
+    "PMOS_DEFAULT": "repro.analog.devices",
+    "TransientResult": "repro.analog.solver",
+    "TransientSolver": "repro.analog.solver",
+    "Waveform": "repro.analog.solver",
+    "EventTimeline": "repro.analog.events",
+    "classic_activation_timeline": "repro.analog.events",
+    "ocsa_activation_timeline": "repro.analog.events",
+    "SenseAmpBench": "repro.analog.sense_amp",
+    "SenseAmpConfig": "repro.analog.sense_amp",
+    "ActivationOutcome": "repro.analog.sense_amp",
+    "simulate_activation": "repro.analog.sense_amp",
+    "offset_tolerance": "repro.analog.sense_amp",
+    "worst_case_offset_tolerance": "repro.analog.sense_amp",
+    "charge_sharing_onset": "repro.analog.sense_amp",
+    "activation_comparison": "repro.analog.metrics",
+    "restore_latency_ns": "repro.analog.metrics",
+    "sensing_latency_ns": "repro.analog.metrics",
+    "switched_energy_fj": "repro.analog.metrics",
+    "YieldResult": "repro.analog.montecarlo",
+    "model_optimism": "repro.analog.montecarlo",
+    "sensing_yield": "repro.analog.montecarlo",
+    "yield_curve": "repro.analog.montecarlo",
+    "BitlineGeometry": "repro.analog.bitline_parasitics",
+    "crosstalk_ratio": "repro.analog.bitline_parasitics",
+    "settling_time_ns": "repro.analog.bitline_parasitics",
+    "shrink_report": "repro.analog.bitline_parasitics",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _EXPORTS)

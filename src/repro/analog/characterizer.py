@@ -54,18 +54,13 @@ from repro.faults import FaultPlan
 from repro.obs import ObsConfig, current_metrics
 from repro.pipeline.config import PipelineConfig
 from repro.runtime.campaign import CampaignReport, QuarantineRecord, run_campaign
-from repro.runtime.engine import ResiliencePolicy, _StageDef, register_stage_versions
+from repro.runtime.engine import ResiliencePolicy, _StageDef
 from repro.runtime.hashing import canonicalize
 
 #: serialization schema of :meth:`CharacterizationReport.to_dict`
 REPORT_SCHEMA_VERSION = "characterization-report/1"
 
 _READABLE_SCHEMA_VERSIONS = (REPORT_SCHEMA_VERSION,)
-
-# The analog stages join the one version table the cache keys read.
-# Workers re-register on import (unpickling a CharacterizationJob imports
-# this module), which is an idempotent no-op.
-register_stage_versions({"char_nominal": "1", "char_mc": "1"})
 
 
 def _json_float(value: float) -> float | None:

@@ -20,52 +20,33 @@ CLI: ``python -m repro catalog``; perf probe: ``python -m repro.perf
 --catalog``.
 """
 
-from repro.catalog.variants import (
-    NOISE_REGIMES,
-    PROCESS_PRESETS,
-    VENDOR_PROFILES,
-    ChipVariantSpec,
-    ProcessPreset,
-    VendorProfile,
-    build_region_spec,
-    chip_variant,
-    register_variant,
-    registered_variants,
-    variant_builder,
-)
-from repro.catalog.grid import CatalogSpec, expand_grid, sample
-from repro.catalog.campaign import (
-    REPORT_SCHEMA_VERSION,
-    CatalogReport,
-    VariantScore,
-    build_job,
-    catalog_pipeline_config,
-    population_summary,
-    run_catalog_campaign,
-    score_variant,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "NOISE_REGIMES",
-    "PROCESS_PRESETS",
-    "VENDOR_PROFILES",
-    "ChipVariantSpec",
-    "ProcessPreset",
-    "VendorProfile",
-    "build_region_spec",
-    "chip_variant",
-    "register_variant",
-    "registered_variants",
-    "variant_builder",
-    "CatalogSpec",
-    "expand_grid",
-    "sample",
-    "REPORT_SCHEMA_VERSION",
-    "CatalogReport",
-    "VariantScore",
-    "build_job",
-    "catalog_pipeline_config",
-    "population_summary",
-    "run_catalog_campaign",
-    "score_variant",
-]
+#: exported name -> defining module, imported on the first access of the name
+_EXPORTS = {
+    "NOISE_REGIMES": "repro.catalog.variants",
+    "PROCESS_PRESETS": "repro.catalog.variants",
+    "VENDOR_PROFILES": "repro.catalog.variants",
+    "ChipVariantSpec": "repro.catalog.variants",
+    "ProcessPreset": "repro.catalog.variants",
+    "VendorProfile": "repro.catalog.variants",
+    "build_region_spec": "repro.catalog.variants",
+    "chip_variant": "repro.catalog.variants",
+    "register_variant": "repro.catalog.variants",
+    "registered_variants": "repro.catalog.variants",
+    "variant_builder": "repro.catalog.variants",
+    "CatalogSpec": "repro.catalog.grid",
+    "expand_grid": "repro.catalog.grid",
+    "sample": "repro.catalog.grid",
+    "REPORT_SCHEMA_VERSION": "repro.catalog.campaign",
+    "CatalogReport": "repro.catalog.campaign",
+    "VariantScore": "repro.catalog.campaign",
+    "build_job": "repro.catalog.campaign",
+    "catalog_pipeline_config": "repro.catalog.campaign",
+    "population_summary": "repro.catalog.campaign",
+    "run_catalog_campaign": "repro.catalog.campaign",
+    "score_variant": "repro.catalog.campaign",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _EXPORTS)

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
-from scipy import ndimage
 
 from repro.errors import CampaignError
 from repro.obs import current_metrics, get_logger
@@ -295,6 +294,8 @@ class FaultInjector:
             self._blur_until = slice_index + plan.blur_burst_len
             blurring = True
         if blurring:
+            from scipy import ndimage  # only blur faults need scipy
+
             self._record("blur", slice_index, plan.blur_sigma_px)
             image = ndimage.gaussian_filter(
                 image.astype(np.float32), sigma=plan.blur_sigma_px, mode="nearest"

@@ -11,7 +11,6 @@ documentation figures.
 from __future__ import annotations
 
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from repro.errors import LayoutError
 from repro.layout.cell import LayoutCell
@@ -41,6 +40,10 @@ def render_svg(
     ``layers`` restricts what is drawn (default: everything, bottom-up).
     The Y axis is flipped so the layout's +Y points up, as in Fig 10.
     """
+    # saxutils imports urllib.request (and with it http, ssl and email),
+    # which every importer of repro.layout would otherwise pay for
+    from xml.sax.saxutils import escape
+
     if width_px <= 0:
         raise LayoutError("width must be positive")
     box = cell.bounding_box()

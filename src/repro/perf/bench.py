@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import statistics
 import sys
 import time
 from dataclasses import dataclass, field
@@ -160,9 +159,13 @@ OBS_OVERHEAD_BUDGET = 0.02
 #: + HTTP exposition server) over the plain traced path
 OBS_EXPORTER_BUDGET = 0.05
 
-#: interleaved traced / exporter-live pipeline runs whose medians the
-#: exporter budget compares
-OBS_WALL_RUNS = 5
+#: bus events the engine emits around each stage it runs: ``stage_start``,
+#: the ``cache_hit``/``cache_miss`` verdict and ``stage_finish``
+OBS_EVENTS_PER_STAGE = 3
+
+#: bus events around each acquisition attempt: ``attempt_start`` and
+#: ``attempt_finish``
+OBS_EVENTS_PER_ATTEMPT = 2
 
 
 def measure_obs_overhead(
@@ -182,11 +185,24 @@ def measure_obs_overhead(
 
     The enabled-path slowdown is also measured, informationally — it is
     allowed to cost whatever tracing costs.  The exporter-live path (event
-    bus + HTTP exposition server) is gated at :data:`OBS_EXPORTER_BUDGET`
-    over the enabled path, comparing the medians of
-    :data:`OBS_WALL_RUNS` interleaved runs of each.
+    bus + HTTP exposition server) adds one kind of work to the traced
+    path: ``bus.emit`` calls.  Its gate counts them instead of timing two
+    short runs against each other.  Under a live bus with the server
+    attached, the kernel chain *pipeline_fn* must emit no event (nothing
+    inside kernel loops), and one fast single-chip campaign exactly
+    :data:`OBS_EVENTS_PER_STAGE` per stage plus
+    :data:`OBS_EVENTS_PER_ATTEMPT` per acquisition attempt.  Those events
+    times the micro-benchmarked cost of one emit, as a fraction of the
+    chip's wall time, must stay within :data:`OBS_EXPORTER_BUDGET`.
+    *noop_calls* sizes both micro-benchmarks (no-op span, live emit).
     """
+    import urllib.request
+
     from repro.obs import ObsConfig, ObsSession, current_metrics, current_tracer
+    from repro.obs.events import EventBus
+    from repro.obs.export import ObsServer
+    from repro.pipeline.config import PipelineConfig
+    from repro.runtime.campaign import ChipJob, run_campaign
 
     # Disabled path: both singletons are no-ops here (nothing activated).
     tracer = current_tracer()
@@ -198,59 +214,54 @@ def measure_obs_overhead(
         metrics.counter("repro_noop_total").inc()
     noop_per_call = (time.perf_counter() - t0) / noop_calls
 
-    import urllib.request
+    # One live emit, with the field set of the engine's stage_finish.
+    bus = EventBus(capacity=noop_calls)
+    t0 = time.perf_counter()
+    for _ in range(noop_calls):
+        bus.emit(
+            "stage_finish", chip="perf_obs", stage="align", disposition="run",
+            seconds=0.0, payload_bytes=0,
+        )
+    emit_per_call = (time.perf_counter() - t0) / noop_calls
 
-    from repro.obs.export import ObsServer
+    with ObsSession(ObsConfig(trace=True, metrics=True)) as session:
+        t0 = time.perf_counter()
+        pipeline_fn()
+        enabled_seconds = time.perf_counter() - t0
+    span_count = len(session.spans())
 
-    def _enabled_run() -> tuple[float, int]:
-        """Traced seconds and the spans one pipeline run opens."""
-        with ObsSession(ObsConfig(trace=True, metrics=True)) as session:
-            t0 = time.perf_counter()
-            pipeline_fn()
-            seconds = time.perf_counter() - t0
-        return seconds, len(session.spans())
-
-    # Exporter-live path: event bus on AND the HTTP exposition server
-    # attached (with one concurrent /metrics scrape mid-flight, so the
-    # snapshot lock contention is part of the measurement).  Gated
-    # against the *enabled* path — the exporter must be nearly free on
-    # top of whatever tracing itself costs.
-    def _exporter_run() -> float:
-        with ObsSession(
-            ObsConfig(trace=True, metrics=True, events=True)
-        ) as live_session:
+    def _exporter_run(fn: Callable[[], Any]) -> tuple[float, list, list]:
+        """Wall seconds, spans and bus events of ``fn()`` with the exporter
+        live: event bus on and the HTTP exposition server attached, with
+        one /metrics scrape before it closes."""
+        with ObsSession(ObsConfig(trace=True, metrics=True, events=True)) as live:
             with ObsServer(
                 port=0,
-                metrics_fn=live_session.metrics_snapshot,
-                spans_fn=live_session.spans,
-                bus=live_session.bus,
+                metrics_fn=live.metrics_snapshot,
+                spans_fn=live.spans,
+                bus=live.bus,
             ) as server:
                 t0 = time.perf_counter()
-                pipeline_fn()
+                fn()
                 seconds = time.perf_counter() - t0
-                with urllib.request.urlopen(
-                    server.url + "/metrics", timeout=10.0
-                ) as resp:
+                with urllib.request.urlopen(server.url + "/metrics", timeout=10.0) as resp:
                     resp.read()
-        return seconds
+        return seconds, live.spans(), live.events()
 
-    # The two paths alternate and are compared by their medians: the
-    # tiny-scale pipeline probe runs in tens of milliseconds, where one
-    # scheduler hiccup (or a drift between two back-to-back blocks of
-    # runs) reads as several percent.
-    enabled_runs: list[float] = []
-    exporter_runs: list[float] = []
-    for _ in range(OBS_WALL_RUNS):
-        seconds, span_count = _enabled_run()
-        enabled_runs.append(seconds)
-        exporter_runs.append(_exporter_run())
-    enabled_seconds = statistics.median(enabled_runs)
-    exporter_seconds = statistics.median(exporter_runs)
+    _, _, kernel_events = _exporter_run(pipeline_fn)
+    job = ChipJob.synthetic("perf_obs", "classic", n_pairs=1, validate=False)
+    fast = PipelineConfig(denoise_iterations=10, align_search_px=2, align_baselines=(1, 2))
+    chip_seconds, chip_spans, chip_events = _exporter_run(
+        lambda: run_campaign([job], config=fast, workers=1)
+    )
+    stages = sum(1 for span in chip_spans if span.kind == "stage")
+    attempts = sum(1 for span in chip_spans if span.kind == "attempt")
+    expected_events = OBS_EVENTS_PER_STAGE * stages + OBS_EVENTS_PER_ATTEMPT * attempts
 
     disabled_fraction = (
         span_count * noop_per_call / max(pipeline_seconds, 1e-9)
     )
-    exporter_fraction = exporter_seconds / max(enabled_seconds, 1e-9) - 1.0
+    exporter_fraction = len(chip_events) * emit_per_call / max(chip_seconds, 1e-9)
     result = {
         "noop_ns_per_call": noop_per_call * 1e9,
         "spans_per_pipeline": span_count,
@@ -258,10 +269,13 @@ def measure_obs_overhead(
         "enabled_seconds": enabled_seconds,
         "enabled_overhead_fraction": enabled_seconds / max(pipeline_seconds, 1e-9) - 1.0,
         "budget_fraction": OBS_OVERHEAD_BUDGET,
-        "exporter_seconds": exporter_seconds,
+        "emit_ns_per_call": emit_per_call * 1e9,
+        "events_per_pipeline": len(kernel_events),
+        "events_per_chip": len(chip_events),
+        "stages_per_chip": stages,
+        "exporter_chip_seconds": chip_seconds,
         "exporter_overhead_fraction": exporter_fraction,
         "exporter_budget_fraction": OBS_EXPORTER_BUDGET,
-        "wall_runs": OBS_WALL_RUNS,
     }
     if disabled_fraction >= OBS_OVERHEAD_BUDGET:
         raise ReproError(
@@ -270,13 +284,25 @@ def measure_obs_overhead(
             f"({span_count} spans x {noop_per_call * 1e9:.0f} ns/call "
             f"vs {pipeline_seconds:.3f}s pipeline)"
         )
+    if kernel_events:
+        kinds = sorted({event.kind for event in kernel_events})
+        raise ReproError(
+            f"the kernel pipeline emitted {len(kernel_events)} bus event(s) "
+            f"({', '.join(kinds)}); events belong to stage boundaries, not kernels"
+        )
+    if stages == 0 or len(chip_events) != expected_events:
+        raise ReproError(
+            f"a {stages}-stage, {attempts}-attempt chip emitted "
+            f"{len(chip_events)} bus events, not the {expected_events} "
+            f"({OBS_EVENTS_PER_STAGE} per stage, {OBS_EVENTS_PER_ATTEMPT} per attempt) "
+            f"the exporter budget is counted in"
+        )
     if exporter_fraction > OBS_EXPORTER_BUDGET:
         raise ReproError(
             f"obs exporter-live overhead "
             f"{exporter_fraction:.2%} exceeds the "
-            f"{OBS_EXPORTER_BUDGET:.0%} budget (median "
-            f"{exporter_seconds:.3f}s vs {enabled_seconds:.3f}s traced "
-            f"over {OBS_WALL_RUNS} interleaved runs each)"
+            f"{OBS_EXPORTER_BUDGET:.0%} budget ({len(chip_events)} events x "
+            f"{emit_per_call * 1e9:.0f} ns/emit vs {chip_seconds:.3f}s chip)"
         )
     return result
 
@@ -1057,8 +1083,10 @@ def render_report(report: BenchReport) -> str:
         if "exporter_overhead_fraction" in report.obs:
             lines.append(
                 f"obs exporter live: "
-                f"{report.obs['exporter_overhead_fraction']:+.2%} vs traced "
-                f"pipeline, medians (budget "
+                f"{report.obs['exporter_overhead_fraction']:+.4%} of a traced chip "
+                f"({report.obs['events_per_chip']} events over "
+                f"{report.obs['stages_per_chip']} stages at "
+                f"{report.obs['emit_ns_per_call']:.0f} ns/emit; budget "
                 f"{report.obs['exporter_budget_fraction']:.0%})"
             )
     if report.campaign is not None:

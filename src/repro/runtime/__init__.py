@@ -30,63 +30,40 @@ surfaces: :class:`ChipJob.fault_plan`, :class:`ResiliencePolicy` on
 (partial) :class:`CampaignReport`.
 """
 
-from repro.runtime.cache import DEFAULT_BLOB_MIN_BYTES, StageCache
-from repro.runtime.dataplane import (
-    DataPlaneError,
-    SegmentRegistry,
-    ShmHeader,
-    process_registry,
-    reap_leaked,
-)
-from repro.runtime.dataplane import available as dataplane_available
-from repro.runtime.campaign import (
-    REPORT_SCHEMA_VERSION,
-    CampaignReport,
-    ChipJob,
-    ChipRun,
-    QuarantineRecord,
-    campaign_config_provenance,
-    default_workers,
-    run_campaign,
-    usable_cpus,
-)
-from repro.runtime.engine import (
-    STAGE_VERSIONS,
-    ResiliencePolicy,
-    StageMetrics,
-    cached_depth,
-    run_chip_stages,
-)
-from repro.runtime.hashing import canonicalize, chain_key, stable_hash
-from repro.runtime.shard import payload_nbytes, shard_map, shutdown_shard_pools
+from repro import _lazy_exports
 
-__all__ = [
-    "DEFAULT_BLOB_MIN_BYTES",
-    "DataPlaneError",
-    "SegmentRegistry",
-    "ShmHeader",
-    "StageCache",
-    "dataplane_available",
-    "process_registry",
-    "reap_leaked",
-    "CampaignReport",
-    "ChipJob",
-    "ChipRun",
-    "QuarantineRecord",
-    "REPORT_SCHEMA_VERSION",
-    "ResiliencePolicy",
-    "campaign_config_provenance",
-    "default_workers",
-    "usable_cpus",
-    "run_campaign",
-    "STAGE_VERSIONS",
-    "StageMetrics",
-    "cached_depth",
-    "run_chip_stages",
-    "canonicalize",
-    "chain_key",
-    "stable_hash",
-    "payload_nbytes",
-    "shard_map",
-    "shutdown_shard_pools",
-]
+#: exported name -> defining module, imported on the first access of the
+#: name ("module:attribute" where the export renames it)
+_EXPORTS = {
+    "DEFAULT_BLOB_MIN_BYTES": "repro.runtime.cache",
+    "DataPlaneError": "repro.runtime.dataplane",
+    "SegmentRegistry": "repro.runtime.dataplane",
+    "ShmHeader": "repro.runtime.dataplane",
+    "StageCache": "repro.runtime.cache",
+    "dataplane_available": "repro.runtime.dataplane:available",
+    "process_registry": "repro.runtime.dataplane",
+    "reap_leaked": "repro.runtime.dataplane",
+    "CampaignReport": "repro.runtime.campaign",
+    "ChipJob": "repro.runtime.campaign",
+    "ChipRun": "repro.runtime.campaign",
+    "QuarantineRecord": "repro.runtime.campaign",
+    "REPORT_SCHEMA_VERSION": "repro.runtime.campaign",
+    "ResiliencePolicy": "repro.runtime.engine",
+    "campaign_config_provenance": "repro.runtime.campaign",
+    "default_workers": "repro.runtime.campaign",
+    "usable_cpus": "repro.runtime.campaign",
+    "run_campaign": "repro.runtime.campaign",
+    "STAGE_VERSIONS": "repro.runtime.engine",
+    "StageMetrics": "repro.runtime.engine",
+    "cached_depth": "repro.runtime.engine",
+    "run_chip_stages": "repro.runtime.engine",
+    "canonicalize": "repro.runtime.hashing",
+    "chain_key": "repro.runtime.hashing",
+    "stable_hash": "repro.runtime.hashing",
+    "payload_nbytes": "repro.runtime.shard",
+    "shard_map": "repro.runtime.shard",
+    "shutdown_shard_pools": "repro.runtime.shard",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _EXPORTS)

@@ -75,7 +75,10 @@ from repro.obs import (
 )
 from repro.pipeline.config import PipelineConfig
 from repro.reveng.workflow import ReversedChip
-from repro.runtime import dataplane
+# The stage kernels import shard_map inside their bodies (shard imports
+# repro.pipeline); importing it here keeps its process-pool machinery out
+# of a campaign's first timed chip.
+from repro.runtime import dataplane, shard
 from repro.runtime.cache import StageCache
 from repro.runtime.engine import (
     ResiliencePolicy,

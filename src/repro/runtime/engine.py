@@ -73,6 +73,9 @@ logger = get_logger("repro.runtime.engine")
 #: (:mod:`repro.imaging.fib`), which changes the acquired bits.  denoise
 #: 2 → 3: float32 slices are denoised in float32 (:mod:`repro.pipeline.denoise`),
 #: which moves output bits by an ulp or so, so float64-era entries must miss.
+#: ``char_nominal`` and ``char_mc`` are the analog characterizer's stages
+#: (:mod:`repro.analog.characterizer`); they live here too, so the table a
+#: data bundle records does not depend on which modules were imported.
 STAGE_VERSIONS: dict[str, str] = {
     "layout": "2",
     "voxelize": "2",
@@ -82,26 +85,9 @@ STAGE_VERSIONS: dict[str, str] = {
     "align": "2",
     "assemble": "2",
     "reveng": "2",
+    "char_nominal": "1",
+    "char_mc": "1",
 }
-
-
-def register_stage_versions(versions: dict[str, str]) -> None:
-    """Register stage versions contributed by another subsystem.
-
-    Job families outside the imaging chain (e.g. the analog
-    characterizer) bring their own stages; registering at import time
-    keeps every version in the one table the cache keys read, and makes
-    conflicting registrations (same stage, different version) a hard
-    error instead of a silent cache split.
-    """
-    for name, version in versions.items():
-        existing = STAGE_VERSIONS.get(name)
-        if existing is not None and existing != version:
-            raise CampaignError(
-                f"stage {name!r} already registered at version {existing!r} "
-                f"(attempted re-registration at {version!r})"
-            )
-        STAGE_VERSIONS[name] = version
 
 
 @dataclass(frozen=True)

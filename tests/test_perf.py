@@ -6,12 +6,20 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
+from repro.obs import current_events
 from repro.perf import (
     BenchReport,
     KernelBench,
     render_report,
     run_benchmarks,
     write_report,
+)
+from repro.perf.bench import (
+    OBS_EVENTS_PER_ATTEMPT,
+    OBS_EVENTS_PER_STAGE,
+    OBS_EXPORTER_BUDGET,
+    OBS_OVERHEAD_BUDGET,
+    measure_obs_overhead,
 )
 
 
@@ -60,6 +68,23 @@ class TestRunBenchmarks:
         assert tiny_report.kernel("align_stack").pixels > 0
         with pytest.raises(ReproError):
             tiny_report.kernel("nonexistent")
+
+
+class TestObsGates:
+    def test_exporter_cost_is_counted_per_stage(self, tiny_report):
+        obs = tiny_report.obs
+        assert obs["events_per_pipeline"] == 0
+        assert obs["stages_per_chip"] == 7  # layout .. reveng, no roi
+        assert obs["events_per_chip"] == 7 * OBS_EVENTS_PER_STAGE + OBS_EVENTS_PER_ATTEMPT
+        assert obs["exporter_overhead_fraction"] <= OBS_EXPORTER_BUDGET
+        assert obs["disabled_overhead_fraction"] < OBS_OVERHEAD_BUDGET
+
+    def test_events_inside_kernels_fail_the_gate(self):
+        def emitting_pipeline():
+            current_events().emit("stage_start", stage="kernel")
+
+        with pytest.raises(ReproError, match=r"kernel pipeline emitted 1 bus event\(s\)"):
+            measure_obs_overhead(emitting_pipeline, pipeline_seconds=0.025)
 
 
 class TestReportSerialisation:
