@@ -10,6 +10,7 @@ and chip-catalog suites instead (``BENCH_analog.json`` /
 
 from __future__ import annotations
 
+import os
 import sys
 
 from repro.errors import ReproError
@@ -63,7 +64,8 @@ options:
   --rss-ceiling-mb M with --dataplane: fail if the shm-plane peak RSS
                      exceeds M MiB (default: record only, no ceiling)
   --history PATH     append-mode perf history file (default:
-                     {DEFAULT_HISTORY_PATH}); every run is recorded
+                     {DEFAULT_HISTORY_PATH}, beside --out when that is
+                     given); every run is recorded
   --no-history       skip the history append entirely
   --check-regression fail (exit 1) when a key timing exceeds the gate
                      threshold times the trailing same-environment
@@ -163,6 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     workers: int | None = None
     rss_ceiling_mb: float | None = None
     history: str | None = DEFAULT_HISTORY_PATH
+    history_given = False
     check = False
     threshold = 1.5
     i = 0
@@ -209,8 +212,10 @@ def main(argv: list[str] | None = None) -> int:
                 print("--history requires a value", file=sys.stderr)
                 return 2
             history = args[i]
+            history_given = True
         elif arg == "--no-history":
             history = None
+            history_given = True
         elif arg == "--check-regression":
             check = True
         elif arg == "--regression-threshold":
@@ -243,6 +248,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         i += 1
 
+    if out is not None and not history_given:
+        history = os.path.join(os.path.dirname(out), DEFAULT_HISTORY_PATH)
     if analog + dataplane + catalog > 1:
         print(
             "--analog, --dataplane and --catalog are mutually exclusive",

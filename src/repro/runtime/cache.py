@@ -40,6 +40,7 @@ import os
 import pickle
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 from typing import Any, Callable
 
@@ -93,9 +94,11 @@ class _BlobUnpickler(pickle.Unpickler):
         path = self._blob_path(pid[1])
         try:
             arr = np.load(path, mmap_mode="r")
-        except Exception as exc:
-            # Missing, zero-length, truncated (mmap shorter than the
-            # header's shape promises) or garbage sidecars all land here.
+        except (OSError, EOFError, ValueError, SyntaxError, tokenize.TokenError) as exc:
+            # Missing (OSError), zero-length (EOFError), truncated — mmap
+            # shorter than the header's shape promises — or not an .npy
+            # at all (ValueError), and a garbage header dict, which numpy
+            # tokenizes and evaluates (TokenError, SyntaxError, ValueError).
             raise _BlobCorruption(
                 f"sidecar {path.name}: {type(exc).__name__}: {exc}"
             ) from exc
@@ -247,31 +250,38 @@ class StageCache:
         sidecars whose pickle is about to land), so only files older
         than the threshold are removed.  Races with a writer finishing
         (``os.replace`` already consumed the tmp) or another sweeper are
-        benign — a vanished file is skipped silently.
+        benign — a vanished file is skipped silently.  Each fan-out
+        directory is listed once, and only tmp files and sidecars with no
+        listed pickle are ``stat``-ed for the age guard.
         """
         if not self.enabled:
             return 0
         cutoff = time.time() - max_age_s
         removed = 0
-        for tmp in self.root.glob("*/*.tmp"):
+        try:
+            fan_out = [e.path for e in os.scandir(self.root) if e.is_dir()]
+        except OSError:
+            fan_out = []
+        for directory in fan_out:
             try:
-                if tmp.stat().st_mtime > cutoff:
-                    continue
-                tmp.unlink()
+                names = {e.name for e in os.scandir(directory)}
             except OSError:
                 continue
-            removed += 1
-        for blob in self.root.glob("*/*.b*.npy"):
-            key = blob.name.split(".b", 1)[0]
-            try:
-                if blob.with_name(f"{key}.pkl").is_file():
+            for name in names:
+                # a tmp file, or a sidecar whose entry pickle is not listed
+                key, blob, _ = name.partition(".b")
+                if not name.endswith(".tmp") and not (
+                    blob and name.endswith(".npy") and f"{key}.pkl" not in names
+                ):
                     continue
-                if blob.stat().st_mtime > cutoff:
+                path = os.path.join(directory, name)
+                try:
+                    if os.stat(path).st_mtime > cutoff:
+                        continue
+                    os.unlink(path)
+                except OSError:
                     continue
-                blob.unlink()
-            except OSError:
-                continue
-            removed += 1
+                removed += 1
         if removed:
             logger.warning(
                 "swept stale stage-cache files",

@@ -8,17 +8,20 @@ chain of content-addressed stages::
 Each stage declares a version (bump it when its implementation changes
 behaviour), a parameter token (hashed together with the parent stage's key
 — see :mod:`repro.runtime.hashing`) and a run function that reads earlier
-artefacts from a context dict and returns ``(payload, notes)``.  The
-executor finds the *deepest* stage whose key is already in the
-:class:`~repro.runtime.cache.StageCache`, restores context up to there,
-and executes only the remainder:
+artefacts from a context dict and returns ``(payload, notes)``.  A stage
+also declares ``reads``: the earlier stages whose payload its run reads.
+The executor plans back from the final stage: a stage that is needed is
+*loaded* from the :class:`~repro.runtime.cache.StageCache` when its key
+is there and *runs* otherwise, and only a stage that runs needs what it
+reads.  Every other stage is *skipped* — not even its cache entry is read:
 
 * warm re-run (nothing changed): the final ``reveng`` entry hits, the
-  :class:`ReversedChip` is loaded, and every upstream stage is *skipped* —
-  not even its cache entry is read;
-* changed segmentation parameters: everything through ``assemble`` hits,
-  only ``reveng`` re-executes;
-* changed acquisition parameters: the chain re-executes from ``acquire``.
+  :class:`ReversedChip` is loaded, and every upstream stage is skipped;
+* changed segmentation parameters: only ``reveng`` re-executes, and it
+  loads just the ``assemble`` entry (plus ``layout`` when it validates);
+  the volume and the three slice stacks stay on disk;
+* changed acquisition parameters: the chain re-executes from ``acquire``,
+  loading ``voxelize`` (and ``roi``) for it.
 
 Every stage — executed, loaded or skipped — contributes a
 :class:`StageMetrics` record (wall seconds, cache disposition, payload
@@ -130,7 +133,7 @@ class StageMetrics:
     stage: str
     seconds: float
     cache_hit: bool
-    skipped: bool  #: satisfied by a *deeper* cache hit; never even loaded
+    skipped: bool  #: read by no stage that ran; its entry was never loaded
     payload_bytes: int
     notes: dict[str, float] = field(default_factory=dict)
 
@@ -146,6 +149,9 @@ class _StageDef:
     name: str
     params: Any
     run: Callable[[dict[str, Any]], tuple[dict[str, Any], dict[str, float]]]
+    #: names of the earlier stages whose payload ``run`` reads; ``None``
+    #: means every earlier stage.  Execution only: not part of the key.
+    reads: tuple[str, ...] | None = None
 
     @property
     def version(self) -> str:
@@ -415,13 +421,15 @@ def build_stage_chain(
     stages = [
         _StageDef("layout", {"spec": spec_token, "mat_rows": job.mat_rows}, run_layout),
         _StageDef("voxelize", {"voxel_nm": job.voxel_nm, "margin_nm": job.margin_nm},
-                  run_voxelize),
+                  run_voxelize, reads=("layout",)),
     ]
+    roi: tuple[str, ...] = ()
     if job.roi_margin_nm is not None:
+        roi = ("roi",)
         stages.append(_StageDef(
             "roi",
             {"probe_step_nm": job.roi_probe_step_nm, "margin_nm": job.roi_margin_nm},
-            run_roi,
+            run_roi, reads=("voxelize",),
         ))
     acquire_params: dict[str, Any] = {
         "campaign": canonicalize(job.campaign),
@@ -441,7 +449,7 @@ def build_stage_chain(
         acquire_params["qc"] = canonicalize(policy.qc)
         acquire_params["max_retries"] = policy.max_retries
     stages.extend([
-        _StageDef("acquire", acquire_params, run_acquire),
+        _StageDef("acquire", acquire_params, run_acquire, reads=("voxelize", *roi)),
         # Stage params carry every result-affecting knob and nothing else:
         # execution-only settings (config.chunk_workers) are deliberately
         # absent so a re-run with more threads still hits the cache, while
@@ -453,19 +461,19 @@ def build_stage_chain(
             "weight": config.denoise_weight,
             "iterations": config.denoise_iterations,
             "tol": config.denoise_tol,
-        }, run_denoise),
+        }, run_denoise, reads=("acquire",)),
         _StageDef("align", {
             "search_px": config.align_search_px,
             "bins": config.align_bins,
             "baselines": list(config.align_baselines),
             "shift_penalty": config.align_shift_penalty,
             "search_strategy": config.align_search_strategy,
-        }, run_align),
-        _StageDef("assemble", {}, run_assemble),
+        }, run_align, reads=("acquire", "denoise")),
+        _StageDef("assemble", {}, run_assemble, reads=("voxelize", "acquire", "align")),
         _StageDef("reveng", {
             "segment_tolerance": config.segment_tolerance,
             "validate": job.validate,
-        }, run_reveng),
+        }, run_reveng, reads=("assemble", "layout") if job.validate else ("assemble",)),
     ])
     return stages
 
@@ -534,14 +542,40 @@ def execute_chain(
     Every loop iteration emits exactly one stage span on the active
     tracer — skipped, loaded and executed stages alike — so a trace's
     stage spans match the metrics list one-to-one.
+
+    Which stages load, run or skip is planned back from the final stage,
+    which is always read: a needed stage whose key is cached is loaded,
+    any other needed stage runs, and a stage that runs needs the stages
+    it ``reads``.  An entry that fails to load (corrupt, or gone since
+    the plan) is recomputed the same way, its own reads first; a read
+    that was skipped is then visited again, and its skip record and span
+    are superseded by a nested load or run.
     """
     keys = chain_keys(stages)
+    index = {stage.name: i for i, stage in enumerate(stages)}
+    reads: list[list[int]] = []
+    for i, stage in enumerate(stages):
+        if stage.reads is None:
+            reads.append(list(range(i)))
+            continue
+        read = sorted(index.get(name, i) for name in stage.reads)
+        if read and read[-1] >= i:
+            raise CampaignError(
+                f"stage {stage.name!r} reads {list(stage.reads)}, "
+                "which are not all earlier stages of its chain"
+            )
+        reads.append(read)
 
-    deepest = -1
+    plan = ["skip"] * len(stages)
+    if plan:
+        plan[-1] = "need"  # the final stage is always read
     for i in reversed(range(len(stages))):
-        if cache.contains(keys[i]):
-            deepest = i
-            break
+        if plan[i] == "skip":
+            continue
+        plan[i] = "hit" if cache.contains(keys[i]) else "run"
+        if plan[i] == "run":
+            for r in reads[i]:
+                plan[r] = "need"
 
     tracer = current_tracer()
     obs_metrics = current_metrics()
@@ -549,7 +583,7 @@ def execute_chain(
     ctx: dict[str, Any] = {}
     metrics: list[StageMetrics] = []
 
-    def _push(m: StageMetrics) -> None:
+    def _push(i: int, m: StageMetrics) -> None:
         bus.emit(
             "cache_hit" if m.cache_hit else "cache_miss",
             chip=chip_id, stage=m.stage, disposition=m.disposition,
@@ -572,84 +606,86 @@ def execute_chain(
             "repro_cache_lookups_total", stage=m.stage, disposition=m.disposition
         ).inc()
         obs_metrics.histogram("repro_stage_seconds", stage=m.stage).observe(m.seconds)
-        metrics.append(m)
+        if i < len(metrics):
+            metrics[i] = m
+        else:
+            metrics.append(m)
 
-    for i, stage in enumerate(stages):
-        if cancel is not None and cancel.is_set():
-            raise JobCancelledError(
-                "campaign cancelled; stopping at stage boundary",
-                chip_id=chip_id,
-                stage=stage.name,
-                details={"completed_stages": [m.stage for m in metrics]},
-            )
-        if deadline is not None and time.monotonic() > deadline:
-            logger.error(
-                "chip blew its time budget; stopping at stage boundary",
-                extra={"fields": {
-                    "stage": stage.name,
-                    "completed_stages": [m.stage for m in metrics],
-                }},
-            )
-            raise StageTimeoutError(
-                "chip exceeded its campaign time budget",
-                chip_id=chip_id,
-                stage=stage.name,
-                details={"completed_stages": [m.stage for m in metrics]},
-            )
+    def _visit(i: int) -> None:
+        stage, key = stages[i], keys[i]
         bus.emit("stage_start", chip=chip_id, stage=stage.name)
         with tracer.span(stage.name, kind="stage") as span, bind(stage=stage.name):
             t0 = time.perf_counter()
-            if i < deepest and deepest == len(stages) - 1:
-                # The final stage is cached: upstream artefacts are never
-                # needed.
+            if plan[i] == "skip":
                 span.set(disposition="skip")
-                _push(StageMetrics(
+                _push(i, StageMetrics(
                     stage=stage.name, seconds=0.0, cache_hit=True, skipped=True,
-                    payload_bytes=cache.entry_bytes(keys[i]),
+                    payload_bytes=cache.entry_bytes(key),
                 ))
-                continue
-            if i <= deepest:
-                entry = cache.load(keys[i])
-                if entry is not None:
-                    payload, notes = entry
-                    ctx.update(payload)
-                    if stage.name == "align":
-                        ctx["align_notes"] = notes
-                    span.set(disposition="hit", payload_bytes=cache.entry_bytes(keys[i]))
-                    _push(StageMetrics(
-                        stage=stage.name,
-                        seconds=time.perf_counter() - t0,
-                        cache_hit=True,
-                        skipped=False,
-                        payload_bytes=cache.entry_bytes(keys[i]),
-                        notes=notes,
-                    ))
-                    continue
-                # Entry vanished between contains() and load(): fall through
-                # and recompute this stage.
-                logger.warning(
-                    "cache entry vanished between contains() and load(); "
-                    "recomputing stage",
-                    extra={"fields": {"stage": stage.name, "key": keys[i]}},
-                )
-            payload, notes = stage.run(ctx)
+                return
+            entry = cache.load(key) if plan[i] == "hit" else None
+            hit = entry is not None
+            if hit:
+                payload, notes = entry
+                nbytes = cache.entry_bytes(key)
+            else:
+                if plan[i] == "hit":
+                    logger.warning(
+                        "cache entry failed to load; recomputing stage",
+                        extra={"fields": {"stage": stage.name, "key": key}},
+                    )
+                for r in reads[i]:
+                    if plan[r] == "skip":
+                        plan[r] = "hit" if cache.contains(keys[r]) else "run"
+                        _visit(r)
+                payload, notes = stage.run(ctx)
+                nbytes = cache.store(key, payload, notes)
+                if nbytes:
+                    obs_metrics.counter(
+                        "repro_cache_stored_bytes_total", stage=stage.name
+                    ).inc(nbytes)
             ctx.update(payload)
             if stage.name == "align":
                 ctx["align_notes"] = notes
-            nbytes = cache.store(keys[i], payload, notes)
-            if nbytes:
-                obs_metrics.counter(
-                    "repro_cache_stored_bytes_total", stage=stage.name
-                ).inc(nbytes)
-            span.set(disposition="run", payload_bytes=nbytes)
-            _push(StageMetrics(
+            span.set(disposition="hit" if hit else "run", payload_bytes=nbytes)
+            _push(i, StageMetrics(
                 stage=stage.name,
                 seconds=time.perf_counter() - t0,
-                cache_hit=False,
+                cache_hit=hit,
                 skipped=False,
                 payload_bytes=nbytes,
                 notes=notes,
             ))
+
+    try:
+        for i, stage in enumerate(stages):
+            if cancel is not None and cancel.is_set():
+                raise JobCancelledError(
+                    "campaign cancelled; stopping at stage boundary",
+                    chip_id=chip_id,
+                    stage=stage.name,
+                    details={"completed_stages": [m.stage for m in metrics]},
+                )
+            if deadline is not None and time.monotonic() > deadline:
+                logger.error(
+                    "chip blew its time budget; stopping at stage boundary",
+                    extra={"fields": {
+                        "stage": stage.name,
+                        "completed_stages": [m.stage for m in metrics],
+                    }},
+                )
+                raise StageTimeoutError(
+                    "chip exceeded its campaign time budget",
+                    chip_id=chip_id,
+                    stage=stage.name,
+                    details={"completed_stages": [m.stage for m in metrics]},
+                )
+            _visit(i)
+    finally:
+        # _visit refers to itself, a cycle that would keep ctx (every
+        # payload this chain loaded or computed) alive until the cyclic
+        # garbage collector happens to run.
+        del _visit
     return ctx, metrics
 
 

@@ -286,3 +286,19 @@ class TestCliGate:
         monkeypatch.chdir(tmp_path)
         assert main(["--out", str(tmp_path / "b.json"), "--no-history"]) == 0
         assert not (tmp_path / DEFAULT_HISTORY_PATH).exists()
+
+    def test_out_elsewhere_keeps_root_history_untouched(self, fake_bench, tmp_path,
+                                                        monkeypatch):
+        """Without --history, the history is written beside --out."""
+        from repro.perf.__main__ import main
+
+        root = tmp_path / "checkout"
+        root.mkdir()
+        tracked = root / DEFAULT_HISTORY_PATH
+        tracked.write_text("{}\n")
+        monkeypatch.chdir(root)
+        out_dir = tmp_path / "scratch"
+        out_dir.mkdir()
+        assert main(["--out", str(out_dir / "b.json")]) == 0
+        assert tracked.read_text() == "{}\n"
+        assert len(load_history(str(out_dir / DEFAULT_HISTORY_PATH))) == 1

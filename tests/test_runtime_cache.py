@@ -298,6 +298,21 @@ class TestBlobSidecars:
         assert cache.load(key) is None
         assert not cache.contains(key)
 
+    def test_garbage_npy_header_evicts_and_misses(self, tmp_path):
+        """A sidecar whose header dict is garbage fails numpy's header parse
+        (a tokenizer error, not a ValueError) and still reads as a miss."""
+        cache = StageCache(tmp_path, blob_min_bytes=1024)
+        key = stable_hash("garbage-header")
+        cache.store(key, self._array_payload(), {})
+        blob = cache.blob_path(key, 0)
+        raw = blob.read_bytes()
+        header_end = raw.index(b"\n") + 1
+        garbage = b"{'descr': '<f8', 'shape': (64,".ljust(header_end - 10)
+        blob.write_bytes(raw[:10] + garbage + raw[header_end:])
+        assert cache.load(key) is None
+        assert not cache.contains(key)
+        assert not blob.exists()
+
     def test_zero_length_pickle_evicts_and_misses(self, tmp_path):
         cache = StageCache(tmp_path, blob_min_bytes=1024)
         key = stable_hash("zero-pkl")

@@ -8,9 +8,12 @@ end-to-end workflow tests and benches.
 
 import dataclasses
 import pickle
+from collections.abc import MutableMapping
 
 import pytest
 
+from repro.analog.characterizer import characterize
+from repro.analog.spec import CharacterizationSpec
 from repro.circuits.topologies import SaTopology
 from repro.errors import CampaignError
 from repro.faults import FaultPlan
@@ -18,6 +21,9 @@ from repro.imaging import FibSemCampaign, SemParameters
 from repro.layout import SaRegionSpec
 from repro.pipeline import PipelineConfig
 from repro.runtime import CampaignReport, ChipJob, ResiliencePolicy, run_campaign
+from repro.runtime.cache import StageCache
+from repro.runtime.engine import build_stage_chain, chain_keys, execute_chain
+from repro.runtime.hashing import stable_hash
 
 FAST = PipelineConfig(denoise_iterations=10, align_search_px=2, align_baselines=(1, 2))
 
@@ -121,6 +127,204 @@ class TestStageCacheBehaviour:
         threaded = FAST.replaced(chunk_workers=2)
         report = run_campaign(_jobs(), config=threaded, workers=1, cache_dir=cache_dir)
         assert report.cache_misses == 0
+
+
+class _RecordingCtx(MutableMapping):
+    """A chain context that notes which stage produced each key a run reads."""
+
+    def __init__(self, ctx: dict, owner: dict[str, str], seen: set[str]) -> None:
+        self._ctx, self._owner, self._seen = ctx, owner, seen
+
+    def __getitem__(self, key):
+        if key in self._owner:
+            self._seen.add(self._owner[key])
+        return self._ctx[key]
+
+    def __setitem__(self, key, value):
+        self._ctx[key] = value
+
+    def __delitem__(self, key):
+        del self._ctx[key]
+
+    def __iter__(self):
+        self._seen.update(self._owner.values())
+        return iter(self._ctx)
+
+    def __len__(self):
+        return len(self._ctx)
+
+
+def _recorded_reads(job: ChipJob, policy: ResiliencePolicy | None = None):
+    """Run *job*'s chain cold; return its stages and each stage's reads.
+
+    A key in the engine's context belongs to the stage that ran last
+    before it appeared: the payload, ``align_notes`` and any side channel
+    a run writes.
+    """
+    owner: dict[str, str] = {}
+    seen: dict[str, set[str]] = {}
+    ran: list[str] = []
+
+    def recording(stage):
+        def run(ctx):
+            for key in ctx:
+                owner.setdefault(key, ran[-1])
+            reads = seen.setdefault(stage.name, set())
+            out = stage.run(_RecordingCtx(ctx, owner, reads))
+            ran.append(stage.name)
+            return out
+        return dataclasses.replace(stage, run=run)
+
+    stages = build_stage_chain(job, FAST, policy)
+    execute_chain([recording(s) for s in stages], StageCache(None))
+    assert ran == [s.name for s in stages]
+    return stages, seen
+
+
+class TestDeclaredReads:
+    """Each imaging stage reads no earlier stage it does not declare."""
+
+    @pytest.mark.parametrize("job, policy", [
+        pytest.param(_jobs()[0], None, id="classic"),
+        pytest.param(_jobs()[1], None, id="ocsa"),
+        pytest.param(ChipJob(
+            name="roi", spec=SaRegionSpec(name="rt_roi", topology="classic", n_pairs=1),
+            campaign=_jobs()[0].campaign, mat_rows=6, roi_margin_nm=130.0,
+            y_stop_nm=300.0,
+        ), None, id="roi"),
+        pytest.param(dataclasses.replace(
+            _jobs()[0], y_stop_nm=300.0, fault_plan=FaultPlan(seed=1, drop_rate=0.04),
+        ), ResiliencePolicy(max_retries=2, force_qc=True), id="faults-qc"),
+        pytest.param(dataclasses.replace(_jobs()[1], validate=False), None,
+                     id="no-validate"),
+    ])
+    def test_recorded_reads_within_declared(self, job, policy):
+        stages, seen = _recorded_reads(job, policy)
+        names = [s.name for s in stages]
+        if job.roi_margin_nm is not None:
+            assert "roi" in names
+        for i, stage in enumerate(stages):
+            declared = set(names[:i] if stage.reads is None else stage.reads)
+            assert seen[stage.name] <= declared, stage.name
+        reveng = stages[-1]
+        assert ("layout" in reveng.reads) is job.validate
+
+    def test_undeclared_read_rejected(self):
+        stages = build_stage_chain(_jobs()[0], FAST)
+        bad = stages[:2] + [dataclasses.replace(stages[2], reads=("reveng",))]
+        with pytest.raises(CampaignError, match="not all earlier stages"):
+            execute_chain(bad, StageCache(None))
+
+
+class TestDemandLoading:
+    """A warm re-run loads only the entries a stage that runs reads."""
+
+    JOB = _jobs()[0]
+
+    @pytest.fixture(scope="class")
+    def warm_dir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("demand-cache")
+        run_campaign([self.JOB], config=FAST, workers=1, cache_dir=path)
+        return path
+
+    @staticmethod
+    def _spy_loads(monkeypatch, config, on_load=None):
+        """Record the stage of every ``StageCache.load`` call."""
+        stages = build_stage_chain(TestDemandLoading.JOB, config)
+        names = dict(zip(chain_keys(stages), (s.name for s in stages)))
+        loaded: list[str] = []
+        real = StageCache.load
+
+        def spy(cache, key):
+            loaded.append(names[key])
+            if on_load is not None:
+                on_load(cache, names[key], key)
+            return real(cache, key)
+
+        monkeypatch.setattr(StageCache, "load", spy)
+        return loaded
+
+    def _cold(self, config):
+        return run_campaign([self.JOB], config=config, workers=1).result(self.JOB.name)
+
+    def test_segmentation_rerun_loads_layout_and_assemble(self, warm_dir, monkeypatch):
+        config = FAST.replaced(segment_tolerance=0.41)
+        loaded = self._spy_loads(monkeypatch, config)
+        report = run_campaign([self.JOB], config=config, workers=1, cache_dir=warm_dir)
+        assert loaded == ["layout", "assemble"]
+        run = report.chips[self.JOB.name]
+        assert {s.stage: s.disposition for s in run.stages} == {
+            "layout": "hit", "voxelize": "skip", "acquire": "skip", "denoise": "skip",
+            "align": "skip", "assemble": "hit", "reveng": "run",
+        }
+        assert (report.cache_hits, report.cache_misses) == (6, 1)
+        assert pickle.dumps(report.result(self.JOB.name)) == pickle.dumps(self._cold(config))
+
+    def test_denoise_change_loads_acquire_not_align(self, warm_dir, monkeypatch):
+        config = FAST.replaced(denoise_iterations=9)
+        loaded = self._spy_loads(monkeypatch, config)
+        report = run_campaign([self.JOB], config=config, workers=1, cache_dir=warm_dir)
+        assert sorted(loaded) == ["acquire", "layout", "voxelize"]
+        assert report.chips[self.JOB.name].stages_executed == [
+            "denoise", "align", "assemble", "reveng",
+        ]
+
+    def test_assemble_deleted_before_load_is_recomputed(self, warm_dir, monkeypatch):
+        config = FAST.replaced(segment_tolerance=0.42)
+
+        def evict_assemble(cache, stage, key):
+            if stage == "assemble":
+                cache.evict(key)
+
+        loaded = self._spy_loads(monkeypatch, config, evict_assemble)
+        report = run_campaign([self.JOB], config=config, workers=1, cache_dir=warm_dir)
+        # assemble's reads load on demand, in order, then assemble reruns
+        assert loaded == ["layout", "assemble", "voxelize", "acquire", "align"]
+        run = report.chips[self.JOB.name]
+        assert [s.stage for s in run.stages] == [s.name for s in build_stage_chain(
+            self.JOB, config)]
+        assert {s.stage: s.disposition for s in run.stages} == {
+            "layout": "hit", "voxelize": "hit", "acquire": "hit", "denoise": "skip",
+            "align": "hit", "assemble": "run", "reveng": "run",
+        }
+        assert pickle.dumps(report.result(self.JOB.name)) == pickle.dumps(self._cold(config))
+
+    def test_corrupt_final_entry_is_recomputed(self, warm_dir):
+        """A warm run whose cached result will not load recomputes it from
+        the entries it reads instead of running reveng on an empty context."""
+        config = FAST.replaced(segment_tolerance=0.43)
+        run_campaign([self.JOB], config=config, workers=1, cache_dir=warm_dir)
+        cache = StageCache(warm_dir)
+        final = chain_keys(build_stage_chain(self.JOB, config))[-1]
+        cache.path_for(final).write_bytes(b"not a pickle")
+        report = run_campaign([self.JOB], config=config, workers=1, cache_dir=warm_dir)
+        run = report.chips[self.JOB.name]
+        assert run.stages_executed == ["reveng"]
+        assert {s.stage: s.disposition for s in run.stages}["assemble"] == "hit"
+        assert pickle.dumps(report.result(self.JOB.name)) == pickle.dumps(self._cold(config))
+
+
+class TestCharacterizeWarmCache:
+    """``build_stages`` chains keep ``reads=None``: every earlier stage."""
+
+    SPEC = CharacterizationSpec(
+        topologies=("classic",), corners=("TT",), trials=3,
+        offset_scan_mv=(0.0, 100.0, 200.0),
+    )
+
+    def test_warm_and_changed_trials(self, tmp_path):
+        cold = characterize(self.SPEC, cache_dir=tmp_path, workers=1)
+        warm = characterize(self.SPEC, cache_dir=tmp_path, workers=1)
+        (run,) = warm.campaign.chips.values()
+        assert [s.disposition for s in run.stages] == ["skip", "hit"]
+        assert stable_hash(warm.cells) == stable_hash(cold.cells)
+
+        more = dataclasses.replace(self.SPEC, trials=4)
+        rerun = characterize(more, cache_dir=tmp_path, workers=1)
+        (run,) = rerun.campaign.chips.values()
+        assert [s.disposition for s in run.stages] == ["hit", "run"]
+        fresh = characterize(more, workers=1)
+        assert stable_hash(rerun.cells) == stable_hash(fresh.cells)
 
 
 class TestJobValidation:
