@@ -297,7 +297,7 @@ class TestCliGate:
         tracked = root / DEFAULT_HISTORY_PATH
         tracked.write_text("{}\n")
         monkeypatch.chdir(root)
-        out_dir = tmp_path / "scratch"
+        out_dir = tmp_path / "elsewhere"
         out_dir.mkdir()
         assert main(["--out", str(out_dir / "b.json")]) == 0
         assert tracked.read_text() == "{}\n"
